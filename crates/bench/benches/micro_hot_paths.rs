@@ -28,7 +28,7 @@ use moloc_eval::pipeline::{analyze_trace_exact, EvalWorld, PassOutcome, Setting}
 use moloc_eval::ScenarioCache;
 use moloc_fingerprint::candidates::CandidateSet;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SquaredEuclidean};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::knn::k_nearest;
 use moloc_fingerprint::metric::Euclidean;
 use moloc_geometry::shortest_path::{all_pairs, dijkstra};
@@ -55,19 +55,14 @@ fn bench_micro(c: &mut Criterion) {
     });
 
     // The columnar-index k-NN against the generic scan above: same
-    // neighbors, same order, but monomorphized squared-distance ranking
+    // neighbors, same order, but squared-distance ranking
     // over contiguous rows into caller-owned buffers (no allocation).
     let index = FingerprintIndex::build(&setting.fdb);
     let mut scratch = KnnScratch::with_k(8);
     let mut neighbors = Vec::with_capacity(8);
     c.bench_function("micro/knn_k8_index_over_28_locations", |b| {
         b.iter(|| {
-            index.k_nearest_into::<SquaredEuclidean>(
-                black_box(query.values()),
-                8,
-                &mut scratch,
-                &mut neighbors,
-            );
+            index.k_nearest_into(black_box(query.values()), 8, &mut scratch, &mut neighbors);
             black_box(&neighbors);
         })
     });

@@ -15,8 +15,6 @@
 //! * **Obs overhead** — the batch localizer with the recorder off vs
 //!   on, pricing the thread-local buffered-delta path (gated ≤ 1.2x by
 //!   CI via `bench_check --max-speedup`).
-//! * **Sharded k-NN** — one query over a ≥ 1024-location synthetic
-//!   survey, serial columnar scan vs the intra-query sharded driver.
 //!
 //! The final target writes every measurement and the derived speedups
 //! to `BENCH_pr6.json` at the repository root. On few-core hosts the
@@ -31,13 +29,10 @@ use moloc_core::config::MoLocConfig;
 use moloc_core::matching::build_kernel;
 use moloc_core::tracker::MotionMeasurement;
 use moloc_eval::parallel::{
-    default_chunk, par_k_nearest, par_run, par_shards_with_workers, set_worker_override,
-    thread_count,
+    default_chunk, par_run, par_shards_with_workers, set_worker_override, thread_count,
 };
-use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SquaredEuclidean};
-use moloc_geometry::LocationId;
+use moloc_fingerprint::index::FingerprintIndex;
 use std::sync::Mutex;
 
 /// Widths the scaling table sweeps. `MAX_OVERSUBSCRIPTION` in the
@@ -54,29 +49,6 @@ fn item_work(i: usize) -> u64 {
         acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
     }
     acc
-}
-
-/// A deterministic synthetic survey large enough to clear
-/// `SHARDED_KNN_MIN_LOCATIONS`: RSSI means on a dBm lattice plus a
-/// sub-dBm per-cell offset, with every 32nd location cloning the row
-/// 17 back — planted fingerprint twins whose rank ties cross shard
-/// boundaries. The same generator as the `query_block` bench, so the
-/// shared `knn/*` arm names measure the same workload.
-fn synthetic_index(locations: u32) -> FingerprintIndex {
-    let fps = (0..locations)
-        .map(|i| {
-            let j = if i >= 17 && i % 32 == 0 { i - 17 } else { i };
-            let values = (0..6)
-                .map(|a| {
-                    -40.0
-                        - f64::from((j * 7 + a * 13) % 23)
-                        - f64::from((j * 31 + a * 11) % 97) / 128.0
-                })
-                .collect::<Vec<f64>>();
-            (LocationId::new(i + 1), Fingerprint::new(values))
-        })
-        .collect::<Vec<_>>();
-    FingerprintIndex::build(&FingerprintDb::from_fingerprints(fps).expect("valid synthetic db"))
 }
 
 fn bench_scaling(c: &mut Criterion) {
@@ -230,34 +202,6 @@ fn bench_scaling(c: &mut Criterion) {
     });
     moloc_obs::set_enabled(false);
     moloc_obs::reset();
-
-    // --- Sharded k-NN over a large synthetic survey --------------
-    let big = synthetic_index(2048);
-    let query = [-45.0, -52.0, -47.0, -60.0, -44.0, -58.0];
-    let mut scratch = KnnScratch::with_k(8);
-    let mut neighbors = Vec::with_capacity(8);
-    c.bench_function("knn/serial_scan_2048", |b| {
-        b.iter(|| {
-            big.k_nearest_into::<SquaredEuclidean>(
-                black_box(&query[..]),
-                8,
-                &mut scratch,
-                &mut neighbors,
-            );
-            black_box(&neighbors);
-        })
-    });
-    set_worker_override(Some(4));
-    c.bench_function("knn/sharded_scan_2048_w4", |b| {
-        b.iter(|| {
-            black_box(par_k_nearest::<SquaredEuclidean>(
-                &big,
-                black_box(&query[..]),
-                8,
-            ))
-        })
-    });
-    set_worker_override(None);
 }
 
 /// Final group target: serializes every measurement plus the derived
@@ -312,8 +256,6 @@ fn emit_bench_json(c: &mut Criterion) {
             "micro/batch_localizer_full_trace",
             "micro/batch_localizer_full_trace_obs_enabled",
         ),
-        // Intra-query sharded k-NN over the serial columnar scan.
-        ("knn/sharded_scan_2048_w4", "knn/serial_scan_2048"),
     ];
     for (i, (name, baseline)) in pairs.iter().enumerate() {
         let fast = c.measurement(name).expect("benchmark ran").mean_ns;

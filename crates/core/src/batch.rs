@@ -22,10 +22,9 @@ use crate::config::MoLocConfig;
 use crate::error::DegradationFlags;
 use crate::matching::build_kernel;
 use crate::tracker::{MotionMeasurement, TrackError};
-use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SquaredEuclidean};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::knn::Neighbor;
 use moloc_geometry::LocationId;
 use moloc_motion::kernel::MotionKernel;
@@ -74,12 +73,6 @@ pub struct BatchScratch {
     current: Vec<(LocationId, f64)>,
     weights: Vec<(LocationId, f64)>,
     previous: Vec<(LocationId, f64)>,
-    /// Per-trace query batch for the blocked k-NN precompute
-    /// (DESIGN.md §15): all of a trace's steps localize as one
-    /// cache-blocked scan before the sequential Eq. 4/7 recursion.
-    block: QueryBlock,
-    block_scratch: BlockScratch,
-    block_out: BlockNeighbors,
 }
 
 impl BatchScratch {
@@ -91,9 +84,6 @@ impl BatchScratch {
             current: Vec::with_capacity(k),
             weights: Vec::with_capacity(k),
             previous: Vec::with_capacity(k),
-            block: QueryBlock::default(),
-            block_scratch: BlockScratch::new(),
-            block_out: BlockNeighbors::new(),
         }
     }
 
@@ -105,8 +95,6 @@ impl BatchScratch {
         self.current.clear();
         self.weights.clear();
         self.previous.clear();
-        self.block.reset(0);
-        self.block_out.clear();
     }
 }
 
@@ -375,7 +363,7 @@ impl<'a> BatchLocalizer<'a> {
         // queries keep the bit-exact monomorphized hot path — the
         // branch condition, not the arithmetic, is the only addition.
         if query.iter().all(|v| v.is_finite()) {
-            index.k_nearest_into::<SquaredEuclidean>(
+            index.k_nearest_into(
                 query,
                 self.config.k,
                 &mut self.buf.scratch,
@@ -399,48 +387,10 @@ impl<'a> BatchLocalizer<'a> {
         Ok(self.posterior_step(motion))
     }
 
-    /// [`BatchLocalizer::observe_slice_uncounted`] for a step whose
-    /// k-NN already ran in the trace's blocked precompute: copies the
-    /// step's precomputed neighbors into the working buffer, rebuilds
-    /// the same degradation flags the per-query path would have set
-    /// (the block records clean/observed per query), and runs the
-    /// shared posterior stage. Query length was validated when the
-    /// block was built; motion is validated here, preserving the
-    /// first-error contract.
-    fn observe_precomputed_uncounted(
-        &mut self,
-        step: usize,
-        motion: Option<MotionMeasurement>,
-    ) -> Result<LocationId, TrackError> {
-        self.last_flags = DegradationFlags::empty();
-        if let Some(m) = motion {
-            if !m.direction_deg.is_finite() || !m.offset_m.is_finite() || m.offset_m < 0.0 {
-                return Err(TrackError::BadMeasurement);
-            }
-        }
-        {
-            let BatchScratch {
-                block_out,
-                neighbors,
-                ..
-            } = &mut self.buf;
-            neighbors.clear();
-            neighbors.extend_from_slice(block_out.query(step));
-        }
-        if !self.buf.block.is_clean(step) {
-            self.last_flags.insert(DegradationFlags::MASKED_QUERY);
-            if self.buf.block_out.observed(step) == 0 {
-                self.last_flags.insert(DegradationFlags::NO_OBSERVED_APS);
-            }
-        }
-        Ok(self.posterior_step(motion))
-    }
-
-    /// The posterior stage shared by the per-query and precomputed
-    /// paths: Eq. 4 over `buf.neighbors`, Eq. 7 against the retained
-    /// history, top pick, and the posterior buffer swap. Inputs are
-    /// the neighbor buffer and the k-NN degradation flags, both set by
-    /// the caller.
+    /// The posterior stage of one observation: Eq. 4 over
+    /// `buf.neighbors`, Eq. 7 against the retained history, top pick,
+    /// and the posterior buffer swap. Inputs are the neighbor buffer
+    /// and the k-NN degradation flags, both set by the caller.
     fn posterior_step(&mut self, motion: Option<MotionMeasurement>) -> LocationId {
         // Eq. 4 into the reusable candidate table — the same arithmetic
         // as `CandidateSet::from_neighbors`, including the exact-match
@@ -600,10 +550,8 @@ impl<'a> BatchLocalizer<'a> {
     /// [`BatchLocalizer::localize_trace_into`] over raw RSS slices —
     /// the trace-level counterpart of [`BatchLocalizer::observe_slice`],
     /// letting pipelines feed scan buffers directly (no per-pass
-    /// [`Fingerprint`] allocation) while still batching the whole
-    /// trace's k-NN through the blocked multi-query scan. `motions[i]`
-    /// is the interval measured *before* `scans[i]` (`None` for the
-    /// first pass).
+    /// [`Fingerprint`] allocation). `motions[i]` is the interval
+    /// measured *before* `scans[i]` (`None` for the first pass).
     ///
     /// # Errors
     ///
@@ -641,41 +589,6 @@ impl<'a> BatchLocalizer<'a> {
         let _span = moloc_obs::span("core.batch.localize_trace");
         self.reset();
         out.clear();
-        // Blocked k-NN precompute (DESIGN.md §15): candidate
-        // generation depends only on the query, so the whole trace's
-        // k-NN runs as one cache-blocked multi-query scan before the
-        // sequential Eq. 4/7 recursion — bit-identical results, one
-        // streaming pass over the index instead of one per step. The
-        // block stops at the first length-invalid query so the
-        // first-error-with-partial-results contract is untouched
-        // (later steps, if any run, use the per-query path and report
-        // the error exactly where the serial loop would).
-        let precomputed = if moloc_fingerprint::block::block_enabled() && len > 0 {
-            let index = self.index.get();
-            let ap = index.ap_count();
-            let block = &mut self.buf.block;
-            block.reset(ap);
-            for i in 0..len {
-                let query = query_at(i);
-                if query.len() != ap {
-                    break;
-                }
-                block.push(query);
-            }
-            if block.is_empty() {
-                0
-            } else {
-                index.k_nearest_block_into::<SquaredEuclidean>(
-                    block,
-                    self.config.k,
-                    &mut self.buf.block_scratch,
-                    &mut self.buf.block_out,
-                );
-                self.buf.block_out.query_count()
-            }
-        } else {
-            0
-        };
         // All per-observation metrics accumulate in plain locals across
         // the trace and publish once at the end — identical totals and
         // distributions to per-observation emission, without recorder
@@ -687,13 +600,7 @@ impl<'a> BatchLocalizer<'a> {
         let mut prev = counting.then(std::time::Instant::now);
         let mut result = Ok(());
         for step in 0..len {
-            let motion = motion_at(step);
-            let outcome = if step < precomputed {
-                self.observe_precomputed_uncounted(step, motion)
-            } else {
-                self.observe_slice_uncounted(query_at(step), motion)
-            };
-            match outcome {
+            match self.observe_slice_uncounted(query_at(step), motion_at(step)) {
                 Ok(estimate) => {
                     out.push(estimate);
                     if let Some(p) = prev {

@@ -7,8 +7,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper sets the discretization windows from the motion database's
 /// spreads: `α = 20°` and `β = 1 m` (Sec. VI-B2). The candidate count
-/// `k` is not stated; the default of 4 reproduces the paper's accuracy
-/// and the `ablation-k` bench sweeps it.
+/// `k` is not stated; the default of 8 sits on the accuracy plateau of
+/// the k sweep (`repro --exp ablations`, DESIGN.md §8).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MoLocConfig {
     /// Number of location candidates retrieved per query (Eq. 3).

@@ -11,11 +11,10 @@ use crate::config::MoLocConfig;
 use crate::error::MolocError;
 use crate::evaluate::{evaluate_candidates, evaluate_candidates_kernel};
 use crate::matching::build_kernel;
-use moloc_fingerprint::block::{BlockNeighbors, BlockScratch, QueryBlock};
 use moloc_fingerprint::candidates::CandidateSet;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, SquaredEuclidean};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::knn::{k_nearest_into_buf, Neighbor};
 use moloc_fingerprint::metric::{Dissimilarity, Euclidean};
 use moloc_geometry::LocationId;
@@ -218,13 +217,13 @@ impl<'a> MoLocTracker<'a> {
             }
         }
         match &self.fingerprints {
-            FingerprintBackend::OwnedIndex(index) => index.k_nearest_into::<SquaredEuclidean>(
+            FingerprintBackend::OwnedIndex(index) => index.k_nearest_into(
                 query.values(),
                 self.config.k,
                 &mut self.scratch,
                 &mut self.neighbors,
             ),
-            FingerprintBackend::SharedIndex(index) => index.k_nearest_into::<SquaredEuclidean>(
+            FingerprintBackend::SharedIndex(index) => index.k_nearest_into(
                 query.values(),
                 self.config.k,
                 &mut self.scratch,
@@ -247,12 +246,8 @@ impl<'a> MoLocTracker<'a> {
         Ok(self.advance(fingerprint_set, motion))
     }
 
-    /// Processes a whole trace in one call, batching the per-step k-NN
-    /// scans through the cache-blocked multi-query kernel when an
-    /// indexed fingerprint backend is active (one Q×L pass over the
-    /// columnar matrix instead of Q row walks; DESIGN.md §15).
-    /// Estimates are **bit-identical** to calling [`Self::observe`]
-    /// once per step.
+    /// Processes a whole trace in one call: estimates are exactly those
+    /// of calling [`Self::observe`] once per step.
     ///
     /// # Errors
     ///
@@ -264,68 +259,15 @@ impl<'a> MoLocTracker<'a> {
         queries: &[(Fingerprint, Option<MotionMeasurement>)],
     ) -> Result<Vec<LocationId>, TrackError> {
         let _span = moloc_obs::span("core.tracker.observe_trace");
-        let index = match &self.fingerprints {
-            FingerprintBackend::OwnedIndex(index) => Some(&**index),
-            FingerprintBackend::SharedIndex(index) => Some(*index),
-            FingerprintBackend::ExactScan => None,
-        };
-        // Precompute k-NN for the longest valid prefix of the trace in
-        // one blocked scan; a length-mismatched query ends the prefix
-        // so the per-step path below reports it in order.
-        let precomputed = match index {
-            Some(index) if moloc_fingerprint::block::block_enabled() && !queries.is_empty() => {
-                let ap = self.fingerprint_db.ap_count();
-                let mut block = QueryBlock::new(ap);
-                for (query, _) in queries {
-                    if query.len() != ap {
-                        break;
-                    }
-                    block.push(query.values());
-                }
-                if block.is_empty() {
-                    None
-                } else {
-                    let mut scratch = BlockScratch::new();
-                    let mut out = BlockNeighbors::new();
-                    index.k_nearest_block_into::<SquaredEuclidean>(
-                        &mut block,
-                        self.config.k,
-                        &mut scratch,
-                        &mut out,
-                    );
-                    Some(out)
-                }
-            }
-            _ => None,
-        };
-        let precount = precomputed.as_ref().map_or(0, BlockNeighbors::query_count);
-        let mut estimates = Vec::with_capacity(queries.len());
-        for (step, (query, motion)) in queries.iter().enumerate() {
-            let estimate = match &precomputed {
-                Some(block_out) if step < precount => {
-                    if let Some(m) = motion {
-                        if !m.direction_deg.is_finite()
-                            || !m.offset_m.is_finite()
-                            || m.offset_m < 0.0
-                        {
-                            return Err(TrackError::BadMeasurement);
-                        }
-                    }
-                    let fingerprint_set = CandidateSet::from_neighbors(block_out.query(step))
-                        .map_err(|_| MolocError::EmptyCandidates)?;
-                    self.advance(fingerprint_set, *motion)
-                }
-                _ => self.observe(query, *motion)?,
-            };
-            estimates.push(estimate);
-        }
-        Ok(estimates)
+        queries
+            .iter()
+            .map(|(query, motion)| self.observe(query, *motion))
+            .collect()
     }
 
     /// Folds one step's fingerprint candidates into the retained state:
     /// Eq. 7 motion reweighting when both history and a measurement
-    /// exist, then top-pick and retention. Shared by [`Self::observe`]
-    /// and the blocked [`Self::observe_trace`] path.
+    /// exist, then top-pick and retention.
     fn advance(
         &mut self,
         fingerprint_set: CandidateSet,
@@ -596,8 +538,7 @@ mod tests {
         let step_cands: Vec<(LocationId, f64)> = stepwise.candidates().unwrap().iter().collect();
         let batch_cands: Vec<(LocationId, f64)> = batched.candidates().unwrap().iter().collect();
         assert_eq!(step_cands, batch_cands);
-        // The exact-scan backend takes the per-step fallback inside
-        // observe_trace and must agree too.
+        // The exact-scan backend must agree too.
         let mut exact = MoLocTracker::new(&fdb, &mdb, config).with_exact_scan();
         assert_eq!(exact.observe_trace(&queries).unwrap(), expected);
     }
@@ -606,8 +547,8 @@ mod tests {
     fn observe_trace_surfaces_mid_trace_errors_in_order() {
         let (fdb, mdb) = world();
         let mut t = MoLocTracker::new(&fdb, &mdb, MoLocConfig::default());
-        // A length-mismatched query at step 1 ends the blocked prefix;
-        // the error must surface exactly as the stepwise loop's would.
+        // A length-mismatched query at step 1 must surface exactly as
+        // the stepwise loop's error would.
         let err = t
             .observe_trace(&[
                 (fp(&[-40.0, -70.0]), None),

@@ -4,11 +4,11 @@
 //! `moloc-verify` oracle on seeded inputs drawn from the evaluation
 //! world, with the runtime invariant layer recording throughout:
 //!
-//! * `knn.scalar` / `knn.masked` / `knn.blocked` / `knn.mirror` /
-//!   `knn.sharded` — every k-NN execution strategy vs the exhaustive
-//!   sorted scan (ids exact, dissimilarities to 1e-9; the contracts
-//!   document bit-identity, the slack merely decouples the gate from
-//!   libm).
+//! * `knn.scalar` / `knn.masked` — the clean and masked index scans vs
+//!   the exhaustive sorted scan (ids exact, dissimilarities to 1e-9;
+//!   the contracts document bit-identity, the slack merely decouples
+//!   the gate from libm), on the 6-AP hall survey and on a 512-row,
+//!   16-AP planted-twin lattice whose twins tie exactly.
 //! * `kernel.pair` / `kernel.stay` — the tabulated-CDF motion kernel
 //!   vs the exact `erf` evaluation (documented accuracy 1e-6; gate at
 //!   2e-6).
@@ -42,13 +42,11 @@ use moloc_core::matching::build_kernel;
 use moloc_eval::parallel::{par_run, set_worker_override};
 use moloc_eval::pipeline::{analyze_trace_indexed, EvalWorld, Setting};
 use moloc_faults::rng::{hash, unit};
-use moloc_fingerprint::block::{
-    set_block_override, set_mirror_override, BlockNeighbors, BlockScratch, QueryBlock,
-};
 use moloc_fingerprint::candidates::CandidateSet;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, ShardCandidate};
+use moloc_fingerprint::db::FingerprintDb;
+use moloc_fingerprint::fingerprint::Fingerprint;
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::knn::Neighbor;
-use moloc_fingerprint::SquaredEuclidean;
 use moloc_geometry::LocationId;
 use moloc_live::{SnapshotPublisher, UpdateLog};
 use moloc_motion::filter::SanitationConfig;
@@ -63,6 +61,14 @@ const USAGE: &str = "usage: moloc-audit [--seed N] [--out FILE] [--self-test]";
 const N_APS: usize = 6;
 /// Queries drawn from the test corpus per k-NN suite.
 const N_QUERIES: usize = 48;
+/// Rows and APs of the planted-twin lattice survey: wide enough for the
+/// scan's generic-width arm, long enough to hold 15 twin pairs.
+const LATTICE_ROWS: u32 = 512;
+const LATTICE_APS: usize = 16;
+/// One prime lattice modulus per AP, so rows do not alias at 16 APs.
+const LATTICE_MODULI: [u32; LATTICE_APS] = [
+    23, 29, 31, 37, 41, 43, 47, 53, 23, 29, 31, 37, 41, 43, 47, 53,
+];
 
 fn main() {
     let mut seed: u64 = 2013;
@@ -104,7 +110,12 @@ fn main() {
     let config = MoLocConfig::paper();
     let queries = corpus_queries(&world, seed);
 
-    knn_suites(&setting, &queries, seed, self_test, &mut report);
+    knn_suites(
+        &[hall_survey(&setting, queries.clone()), lattice_survey(seed)],
+        seed,
+        self_test,
+        &mut report,
+    );
     kernel_suites(&setting.motion_db, &config, seed, &mut report);
     eq_suites(&setting, &queries, &config, seed, &mut report);
     parallel_suite(&world, &setting, &mut report);
@@ -226,202 +237,183 @@ fn compare_pairs(
 }
 
 // ---------------------------------------------------------------------
-// k-NN suites: every execution strategy vs the exhaustive oracle.
+// k-NN suites: the clean and masked scans vs the exhaustive oracle.
 // ---------------------------------------------------------------------
 
-fn knn_suites(
-    setting: &Setting,
-    queries: &[Vec<f64>],
-    seed: u64,
-    self_test: bool,
-    report: &mut AuditReport,
-) {
-    eprintln!("moloc-audit: k-NN suites ({} queries)", queries.len());
-    let index = FingerprintIndex::build(&setting.fdb);
-    let rows: Vec<(LocationId, Vec<f64>)> = setting
+/// One survey the k-NN suites run against, with its queries.
+struct KnnSurvey {
+    name: &'static str,
+    index: FingerprintIndex,
+    rows: Vec<(LocationId, Vec<f64>)>,
+    queries: Vec<Vec<f64>>,
+}
+
+impl KnnSurvey {
+    fn new(name: &'static str, rows: Vec<(LocationId, Vec<f64>)>, queries: Vec<Vec<f64>>) -> Self {
+        let db = FingerprintDb::from_fingerprints(
+            rows.iter()
+                .map(|(id, row)| (*id, Fingerprint::new(row.clone())))
+                .collect(),
+        )
+        .expect("audit survey is a valid database");
+        KnnSurvey {
+            name,
+            index: FingerprintIndex::build(&db),
+            rows,
+            queries,
+        }
+    }
+
+    fn oracle_rows(&self) -> impl Iterator<Item = (LocationId, &[f64])> {
+        self.rows.iter().map(|(id, r)| (*id, r.as_slice()))
+    }
+}
+
+/// The evaluation hall's `N_APS`-wide survey with the corpus queries.
+fn hall_survey(setting: &Setting, queries: Vec<Vec<f64>>) -> KnnSurvey {
+    let rows = setting
         .fdb
         .iter()
         .map(|(id, fp)| (id, fp.values().to_vec()))
         .collect();
-    let k = MoLocConfig::paper().k;
+    KnnSurvey::new("hall", rows, queries)
+}
+
+/// Row `j` of the dithered RSS lattice: a dBm step per AP plus a
+/// sub-dBm dither on a 1/128 dB grid, so distances are exact in f64.
+fn lattice_row(j: u32) -> Vec<f64> {
+    LATTICE_MODULI
+        .iter()
+        .zip(0u32..)
+        .map(|(&m, a)| {
+            -40.0 - f64::from((j * 7 + a * 13) % m) - f64::from((j * 31 + a * 11) % 97) / 128.0
+        })
+        .collect()
+}
+
+/// A `LATTICE_ROWS × LATTICE_APS` planted-twin survey: every 32nd
+/// location clones the row of the location 17 before it, so each twin
+/// pair ties exactly for every query. Queries are the twin rows
+/// themselves (a zero-distance tie), lattice rows shifted half a dB,
+/// and a few seeded random scans.
+fn lattice_survey(seed: u64) -> KnnSurvey {
+    let twin_source = |i: u32| {
+        if i >= 17 && i.is_multiple_of(32) {
+            i - 17
+        } else {
+            i
+        }
+    };
+    let rows: Vec<(LocationId, Vec<f64>)> = (0..LATTICE_ROWS)
+        .map(|i| (LocationId::new(i + 1), lattice_row(twin_source(i))))
+        .collect();
+    let mut queries: Vec<Vec<f64>> = (32..LATTICE_ROWS)
+        .step_by(32)
+        .map(|i| lattice_row(twin_source(i)))
+        .collect();
+    queries.extend((0..16u32).map(|q| {
+        lattice_row((q * 97 + 5) % LATTICE_ROWS)
+            .iter()
+            .map(|v| v - 0.5)
+            .collect()
+    }));
+    queries.extend((0..4u64).map(|i| {
+        (0..LATTICE_APS)
+            .map(|d| -40.0 - 60.0 * unit(hash(seed, 0xA1, i, d as u64)))
+            .collect()
+    }));
+    KnnSurvey::new("lattice", rows, queries)
+}
+
+fn knn_suites(surveys: &[KnnSurvey], seed: u64, self_test: bool, report: &mut AuditReport) {
+    // The paper's k, plus k = 1: a twin pair then ties exactly at the
+    // selection boundary, where only the ascending-id rule decides.
+    let ks = [MoLocConfig::paper().k, 1];
     let mut scratch = KnnScratch::new();
     let mut out: Vec<Neighbor> = Vec::new();
 
-    // Scalar path. In self-test mode the first case feeds the oracle a
+    // Clean scan. In self-test mode the first case feeds the oracle a
     // perturbed query — a planted divergence the gate must catch.
     let mut divs = Vec::new();
-    for (qi, query) in queries.iter().enumerate() {
-        index.k_nearest_into::<SquaredEuclidean>(query, k, &mut scratch, &mut out);
-        let oracle_query: Vec<f64> = if self_test && qi == 0 {
-            let mut q = query.clone();
-            q[0] += 1.0;
-            q
-        } else {
-            query.clone()
-        };
-        let expected = oracle::k_nearest(
-            rows.iter().map(|(id, r)| (*id, r.as_slice())),
-            &oracle_query,
-            k,
+    let mut cases = 0u64;
+    for survey in surveys {
+        eprintln!(
+            "moloc-audit: k-NN suites on the {} survey ({} rows × {} APs, {} queries)",
+            survey.name,
+            survey.index.len(),
+            survey.index.ap_count(),
+            survey.queries.len()
         );
-        compare_pairs(
-            "knn.scalar",
-            format!("query {qi}"),
-            &expected,
-            &pairs_of(&out),
-            1e-9,
-            &mut divs,
-        );
+        for k in ks {
+            for (qi, query) in survey.queries.iter().enumerate() {
+                survey
+                    .index
+                    .k_nearest_into(query, k, &mut scratch, &mut out);
+                let mut oracle_query = query.clone();
+                if self_test && cases == 0 {
+                    oracle_query[0] += 1.0;
+                }
+                let expected = oracle::k_nearest(survey.oracle_rows(), &oracle_query, k);
+                compare_pairs(
+                    "knn.scalar",
+                    format!("{} k={k} query {qi}", survey.name),
+                    &expected,
+                    &pairs_of(&out),
+                    1e-9,
+                    &mut divs,
+                );
+                cases += 1;
+            }
+        }
     }
-    report.finish_suite("knn.scalar", queries.len() as u64, divs);
+    report.finish_suite("knn.scalar", cases, divs);
 
-    // Masked path, including the nothing-observed degenerate case.
+    // Masked scan: ~30% of each query's APs dropped, plus the
+    // nothing-observed degenerate case.
     let mut divs = Vec::new();
     let mut cases = 0u64;
-    for (qi, query) in queries.iter().enumerate() {
-        let masked = masked_query(query, seed, qi as u64);
-        let observed = index.k_nearest_masked_into(&masked, k, &mut scratch, &mut out);
-        let (expected, expected_observed) = oracle::k_nearest_masked(
-            rows.iter().map(|(id, r)| (*id, r.as_slice())),
-            &masked,
-            k,
-        );
-        if observed != expected_observed {
-            divs.push(Divergence {
-                suite: "knn.masked".to_string(),
-                case: format!("query {qi} observed count"),
-                expected: expected_observed.to_string(),
-                actual: observed.to_string(),
-            });
+    let mut salt = 0u64;
+    for survey in surveys {
+        let queries: Vec<Vec<f64>> = (survey.queries.iter().zip(salt..))
+            .map(|(query, case)| masked_query(query, seed, case))
+            .chain([vec![f64::NAN; survey.index.ap_count()]])
+            .collect();
+        salt += queries.len() as u64;
+        for k in ks {
+            for (qi, query) in queries.iter().enumerate() {
+                let observed = survey
+                    .index
+                    .k_nearest_masked_into(query, k, &mut scratch, &mut out);
+                let (expected, expected_observed) =
+                    oracle::k_nearest_masked(survey.oracle_rows(), query, k);
+                let blind = qi == survey.queries.len();
+                let case = if blind {
+                    format!("{} k={k} all-NaN query", survey.name)
+                } else {
+                    format!("{} k={k} query {qi}", survey.name)
+                };
+                if observed != expected_observed {
+                    divs.push(Divergence {
+                        suite: "knn.masked".to_string(),
+                        case: format!("{case} observed count"),
+                        expected: expected_observed.to_string(),
+                        actual: observed.to_string(),
+                    });
+                }
+                let tol = if blind { 0.0 } else { 1e-9 };
+                compare_pairs(
+                    "knn.masked",
+                    case,
+                    &expected,
+                    &pairs_of(&out),
+                    tol,
+                    &mut divs,
+                );
+                cases += 1;
+            }
         }
-        compare_pairs(
-            "knn.masked",
-            format!("query {qi}"),
-            &expected,
-            &pairs_of(&out),
-            1e-9,
-            &mut divs,
-        );
-        cases += 1;
     }
-    let blind = vec![f64::NAN; N_APS];
-    let observed = index.k_nearest_masked_into(&blind, k, &mut scratch, &mut out);
-    let (expected, _) =
-        oracle::k_nearest_masked(rows.iter().map(|(id, r)| (*id, r.as_slice())), &blind, k);
-    if observed != 0 {
-        divs.push(Divergence {
-            suite: "knn.masked".to_string(),
-            case: "all-NaN query observed count".to_string(),
-            expected: "0".to_string(),
-            actual: observed.to_string(),
-        });
-    }
-    compare_pairs(
-        "knn.masked",
-        "all-NaN query".to_string(),
-        &expected,
-        &pairs_of(&out),
-        0.0,
-        &mut divs,
-    );
-    cases += 1;
     report.finish_suite("knn.masked", cases, divs);
-
-    // Blocked path (forced on), mixing clean and masked queries per
-    // block — each lane must match the per-query oracle result.
-    set_block_override(Some(true));
-    let mut divs = Vec::new();
-    let mut cases = 0u64;
-    let mut block = QueryBlock::new(N_APS);
-    let mut block_scratch = BlockScratch::new();
-    let mut block_out = BlockNeighbors::new();
-    for (bi, chunk) in queries.chunks(8).enumerate() {
-        block.reset(N_APS);
-        let mut lane_queries: Vec<Vec<f64>> = Vec::with_capacity(chunk.len());
-        for (li, query) in chunk.iter().enumerate() {
-            let lane = if li % 3 == 2 {
-                masked_query(query, seed, (bi * 8 + li) as u64)
-            } else {
-                query.clone()
-            };
-            block.push(&lane);
-            lane_queries.push(lane);
-        }
-        index.k_nearest_block_into::<SquaredEuclidean>(
-            &mut block,
-            k,
-            &mut block_scratch,
-            &mut block_out,
-        );
-        for (li, lane) in lane_queries.iter().enumerate() {
-            let expected = if lane.iter().all(|v| v.is_finite()) {
-                oracle::k_nearest(rows.iter().map(|(id, r)| (*id, r.as_slice())), lane, k)
-            } else {
-                oracle::k_nearest_masked(rows.iter().map(|(id, r)| (*id, r.as_slice())), lane, k).0
-            };
-            compare_pairs(
-                "knn.blocked",
-                format!("block {bi} lane {li}"),
-                &expected,
-                &pairs_of(block_out.query(li)),
-                1e-9,
-                &mut divs,
-            );
-            cases += 1;
-        }
-    }
-    set_block_override(None);
-    report.finish_suite("knn.blocked", cases, divs);
-
-    // Mirror path (forced on): the f32 prefilter must be invisible —
-    // the exact f64 rescore decides every retained rank.
-    set_mirror_override(Some(true));
-    let mut divs = Vec::new();
-    for (qi, query) in queries.iter().enumerate() {
-        index.k_nearest_mirror_into::<SquaredEuclidean>(query, k, &mut block_scratch, &mut out);
-        let expected = oracle::k_nearest(rows.iter().map(|(id, r)| (*id, r.as_slice())), query, k);
-        compare_pairs(
-            "knn.mirror",
-            format!("query {qi}"),
-            &expected,
-            &pairs_of(&out),
-            1e-9,
-            &mut divs,
-        );
-    }
-    set_mirror_override(None);
-    report.finish_suite("knn.mirror", queries.len() as u64, divs);
-
-    // Sharded path: per-shard candidates merged across an uneven
-    // 3-way partition must reproduce the serial selection.
-    let mut divs = Vec::new();
-    let n = index.len();
-    let cuts = [0, n / 3, 2 * n / 3 + 1, n];
-    for (qi, query) in queries.iter().enumerate() {
-        let mut candidates: Vec<ShardCandidate> = Vec::new();
-        let mut shard_out = Vec::new();
-        for w in cuts.windows(2) {
-            index.shard_candidates::<SquaredEuclidean>(
-                query,
-                k,
-                w[0]..w[1],
-                &mut scratch,
-                &mut shard_out,
-            );
-            candidates.extend(shard_out.iter().copied());
-        }
-        index.merge_shard_candidates::<SquaredEuclidean>(k, &mut candidates, &mut out);
-        let expected = oracle::k_nearest(rows.iter().map(|(id, r)| (*id, r.as_slice())), query, k);
-        compare_pairs(
-            "knn.sharded",
-            format!("query {qi}"),
-            &expected,
-            &pairs_of(&out),
-            1e-9,
-            &mut divs,
-        );
-    }
-    report.finish_suite("knn.sharded", queries.len() as u64, divs);
 }
 
 // ---------------------------------------------------------------------
@@ -536,7 +528,7 @@ fn eq_suites(
     let mut divs = Vec::new();
     let mut candidate_sets: Vec<CandidateSet> = Vec::new();
     for (qi, query) in queries.iter().enumerate() {
-        index.k_nearest_into::<SquaredEuclidean>(query, config.k, &mut scratch, &mut out);
+        index.k_nearest_into(query, config.k, &mut scratch, &mut out);
         let set = CandidateSet::from_neighbors(&out).expect("k >= 1 neighbors");
         let expected =
             oracle::candidate_probabilities(&pairs_of(&out)).expect("non-degenerate neighbors");
@@ -552,7 +544,7 @@ fn eq_suites(
     }
     let mut cases = queries.len() as u64;
     if let Some((id, fp)) = setting.fdb.iter().next() {
-        index.k_nearest_into::<SquaredEuclidean>(fp.values(), config.k, &mut scratch, &mut out);
+        index.k_nearest_into(fp.values(), config.k, &mut scratch, &mut out);
         let set = CandidateSet::from_neighbors(&out).expect("k >= 1 neighbors");
         let expected =
             oracle::candidate_probabilities(&pairs_of(&out)).expect("non-degenerate neighbors");

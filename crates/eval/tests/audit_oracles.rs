@@ -5,8 +5,8 @@
 //! inputs so a regression fails here first, with a readable diff,
 //! before the audit gate reports a seed number:
 //!
-//! * exact dissimilarity ties (duplicate fingerprints) across every
-//!   k-NN execution strategy — the ascending-id tie contract;
+//! * exact dissimilarity ties (duplicate fingerprints) on the k-NN
+//!   scan — the ascending-id tie contract;
 //! * masked queries, including the all-NaN blind scan;
 //! * Eq. 4's exact-match branch with *multiple* zero-dissimilarity
 //!   candidates splitting the mass;
@@ -17,15 +17,11 @@
 
 use moloc_core::config::MoLocConfig;
 use moloc_core::evaluate::evaluate_candidates;
-use moloc_fingerprint::block::{
-    set_block_override, set_mirror_override, BlockNeighbors, BlockScratch, QueryBlock,
-};
 use moloc_fingerprint::candidates::CandidateSet;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
-use moloc_fingerprint::index::{FingerprintIndex, KnnScratch, ShardCandidate};
+use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
 use moloc_fingerprint::knn::Neighbor;
-use moloc_fingerprint::SquaredEuclidean;
 use moloc_geometry::LocationId;
 use moloc_motion::matrix::MotionDb;
 use moloc_verify::oracle;
@@ -64,7 +60,7 @@ fn pairs(neighbors: &[Neighbor]) -> Vec<(LocationId, f64)> {
 }
 
 #[test]
-fn tied_rows_resolve_by_ascending_id_on_every_knn_path() {
+fn tied_rows_resolve_by_ascending_id_on_the_knn_scan() {
     let db = tied_db();
     let rows = rows(&db);
     let index = FingerprintIndex::build(&db);
@@ -81,38 +77,8 @@ fn tied_rows_resolve_by_ascending_id_on_every_knn_path() {
 
     let mut scratch = KnnScratch::new();
     let mut out = Vec::new();
-    index.k_nearest_into::<SquaredEuclidean>(&query, k, &mut scratch, &mut out);
+    index.k_nearest_into(&query, k, &mut scratch, &mut out);
     assert_eq!(pairs(&out), expected, "scalar path broke the tie contract");
-
-    let mut block_scratch = BlockScratch::new();
-    set_mirror_override(Some(true));
-    index.k_nearest_mirror_into::<SquaredEuclidean>(&query, k, &mut block_scratch, &mut out);
-    set_mirror_override(None);
-    assert_eq!(pairs(&out), expected, "mirror path broke the tie contract");
-
-    set_block_override(Some(true));
-    let mut block = QueryBlock::new(N_APS);
-    block.push(&query);
-    let mut block_out = BlockNeighbors::new();
-    index.k_nearest_block_into::<SquaredEuclidean>(&mut block, k, &mut block_scratch, &mut block_out);
-    set_block_override(None);
-    assert_eq!(
-        pairs(block_out.query(0)),
-        expected,
-        "blocked path broke the tie contract"
-    );
-
-    // Sharded: a cut straight through the tied run (rows 2,4,5 live at
-    // positions 1,3,4) so the merge must re-establish id order across
-    // shard boundaries.
-    let mut candidates: Vec<ShardCandidate> = Vec::new();
-    let mut shard_out = Vec::new();
-    for range in [0..2, 2..4, 4..index.len()] {
-        index.shard_candidates::<SquaredEuclidean>(&query, k, range, &mut scratch, &mut shard_out);
-        candidates.extend(shard_out.iter().copied());
-    }
-    index.merge_shard_candidates::<SquaredEuclidean>(k, &mut candidates, &mut out);
-    assert_eq!(pairs(&out), expected, "sharded merge broke the tie contract");
 }
 
 #[test]
@@ -155,7 +121,7 @@ fn eq4_exact_match_branch_splits_mass_across_all_twins() {
     let mut out = Vec::new();
     // Query *is* the twin fingerprint: three exact matches in the top-4.
     let query = vec![-50.0, -61.0, -47.5, -72.0, -55.0, -66.0];
-    index.k_nearest_into::<SquaredEuclidean>(&query, 4, &mut scratch, &mut out);
+    index.k_nearest_into(&query, 4, &mut scratch, &mut out);
     let set = CandidateSet::from_neighbors(&out).expect("non-empty");
     let expected = oracle::candidate_probabilities(&pairs(&out)).expect("non-degenerate");
     let got: Vec<(LocationId, f64)> = set.iter().collect();

@@ -6,7 +6,6 @@
 
 use crate::db::FingerprintDb;
 use crate::fingerprint::Fingerprint;
-use crate::index::{FingerprintIndex, KnnScratch, MetricKernel, ShardCandidate};
 use crate::metric::Dissimilarity;
 use moloc_geometry::LocationId;
 use std::cmp::Ordering;
@@ -119,43 +118,6 @@ pub fn k_nearest_into_buf(
         let pos = out.partition_point(|&kept| HeapEntry(kept) < HeapEntry(neighbor));
         out.insert(pos, neighbor);
     }
-}
-
-/// Reference sharded k-NN: splits the index rows into shards of
-/// `shard_rows`, scans each shard independently via
-/// [`FingerprintIndex::shard_candidates`], and merges the per-shard
-/// survivors with [`FingerprintIndex::merge_shard_candidates`].
-///
-/// This is the *serial* form of the scan parallel drivers shard across
-/// workers — the property tests compare it (at many shard sizes)
-/// against the full serial scan, locking in that shard boundaries can
-/// never change the result. Parallel drivers reuse the same two
-/// index methods, running shards concurrently.
-///
-/// # Panics
-///
-/// Panics if `k` or `shard_rows` is zero, or the query length does not
-/// match the index's AP count.
-pub fn k_nearest_sharded<K: MetricKernel>(
-    index: &FingerprintIndex,
-    query: &[f64],
-    k: usize,
-    shard_rows: usize,
-) -> Vec<Neighbor> {
-    assert!(shard_rows > 0, "shard_rows must be positive");
-    let mut scratch = KnnScratch::with_k(k);
-    let mut shard_out: Vec<ShardCandidate> = Vec::with_capacity(k);
-    let mut merged: Vec<ShardCandidate> = Vec::new();
-    let mut start = 0usize;
-    while start < index.len() {
-        let end = (start + shard_rows).min(index.len());
-        index.shard_candidates::<K>(query, k, start..end, &mut scratch, &mut shard_out);
-        merged.extend_from_slice(&shard_out);
-        start = end;
-    }
-    let mut out = Vec::with_capacity(k);
-    index.merge_shard_candidates::<K>(k, &mut merged, &mut out);
-    out
 }
 
 #[cfg(test)]

@@ -10,11 +10,8 @@
 //! * [`db`] — the fingerprint database mapping reference locations to
 //!   surveyed fingerprints.
 //! * [`index`] — the columnar [`index::FingerprintIndex`]: a flattened
-//!   structure-of-arrays view of the database with monomorphized metric
-//!   kernels for allocation-free squared-distance k-NN scans.
-//! * [`block`] — multi-query [`block::QueryBlock`] batches for the
-//!   cache-blocked Q×L scan kernels and the f32 quantized index mirror
-//!   (bit-identical to per-query scans; see DESIGN.md §15).
+//!   structure-of-arrays view of the database for allocation-free
+//!   squared-Euclidean k-NN scans.
 //! * [`knn`] — k-nearest-neighbor retrieval (Eq. 3).
 //! * [`candidates`] — candidate sets with inverse-dissimilarity
 //!   probabilities (Eq. 4).
@@ -43,7 +40,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod block;
 pub mod candidates;
 pub mod centroid;
 pub mod db;
@@ -54,9 +50,8 @@ pub mod knn;
 pub mod metric;
 pub mod nn_localizer;
 
-pub use block::{BlockNeighbors, BlockScratch, QueryBlock};
 pub use candidates::{Candidate, CandidateSet};
 pub use db::FingerprintDb;
 pub use fingerprint::Fingerprint;
-pub use index::{FingerprintIndex, KnnScratch, MetricKernel, SquaredEuclidean};
+pub use index::{FingerprintIndex, KnnScratch};
 pub use metric::{Dissimilarity, Euclidean};

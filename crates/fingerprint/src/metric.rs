@@ -32,22 +32,12 @@ fn check_lengths(a: &Fingerprint, b: &Fingerprint) {
 /// The squared Euclidean dissimilarity `Σ (aᵢ − bᵢ)²` over raw slices.
 ///
 /// This is the shared scalar kernel behind both [`Euclidean`] and the
-/// columnar index's monomorphized scan (`crate::index`): computing the
+/// columnar index's scan (`crate::index`): computing the
 /// sum in slice order and deferring the square root keeps the two paths
 /// bit-identical (`sqrt` is applied to the same accumulated value).
 #[inline]
 pub fn euclidean_sq(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum::<f64>()
-}
-
-/// [`euclidean_sq`] on f32 values — the kernel of the quantized index
-/// mirror's prefilter pass (`crate::index`). Unlike the f64 kernel its
-/// exact accumulation order carries no bit-identity contract: mirror
-/// ranks only *order* a conservative prefilter whose survivors are
-/// rescored with the exact f64 kernel, so any faithful f32 sum works.
-#[inline]
-pub fn euclidean_sq_f32(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f32>()
 }
 
 /// The squared Euclidean dissimilarity over the *observed* dimensions
@@ -76,7 +66,7 @@ pub fn masked_euclidean_sq(a: &[f64], b: &[f64]) -> (f64, usize) {
 
 /// The Manhattan dissimilarity `Σ |aᵢ − bᵢ|` over raw slices.
 #[inline]
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
+fn manhattan(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
 }
 
@@ -84,7 +74,7 @@ pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
 /// slices. Two zero vectors are identical → 0; a zero vector against a
 /// non-zero one is maximally dissimilar → 1.
 #[inline]
-pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
+fn cosine(a: &[f64], b: &[f64]) -> f64 {
     let (mut dot, mut na, mut nb) = (0.0, 0.0, 0.0);
     for (x, y) in a.iter().zip(b) {
         let (x, y) = (-x, -y);

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// One oracle-vs-optimised mismatch found by a differential suite.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Divergence {
-    /// The suite that found it, e.g. `knn.blocked`.
+    /// The suite that found it, e.g. `knn.masked`.
     pub suite: String,
     /// Which case inside the suite, e.g. `trace 3 step 17`.
     pub case: String,
