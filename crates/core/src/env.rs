@@ -79,23 +79,6 @@ pub fn parse_toggle(field: &'static str, raw: Option<&str>) -> Result<Option<boo
     }
 }
 
-/// Reads and strictly parses one environment variable as a `usize`.
-///
-/// # Errors
-///
-/// Returns [`MolocError::InvalidConfig`] when the variable is set but
-/// malformed (including non-UTF-8 values).
-pub fn env_usize(field: &'static str) -> Result<Option<usize>, MolocError> {
-    match std::env::var(field) {
-        Ok(raw) => parse_usize(field, Some(&raw)),
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(raw)) => Err(MolocError::invalid_config_value(
-            field,
-            raw.to_string_lossy(),
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -459,6 +459,7 @@ pub fn heading_fusion(world: &EvalWorld, seed: u64) -> HeadingFusionAblation {
         u.compass_noise_deg = 25.0;
     }
     let renderer = TraceRenderer::default();
+    let mean_scans = world.hall.env.mean_scans(&world.hall.grid);
     // Users fan out on the worker pool; each derives its own RNG from
     // (seed, index), so the parallel result matches the serial one.
     let per_user = crate::parallel::par_run(users.len(), |i| {
@@ -467,7 +468,7 @@ pub fn heading_fusion(world: &EvalWorld, seed: u64) -> HeadingFusionAblation {
         let path = random_walk(&world.hall.graph, 16, &mut rng);
         let trajectory =
             Trajectory::from_path(&path, &world.hall.grid, user).expect("walks are non-trivial");
-        let trace = renderer.render(&trajectory, user, &world.hall.env, &mut rng);
+        let trace = renderer.render(&trajectory, user, &world.hall.env, &mean_scans, &mut rng);
         let offset = user.placement_offset_deg + user.compass_bias_deg;
 
         // Fused heading over the whole trace.

@@ -182,24 +182,46 @@ fn serial_child_digest_survives_thread_and_chunk_settings() {
     }
 }
 
-/// FNV-1a over every field of every outcome, in order — any reordering
-/// or numerical difference changes the digest.
-fn digest(outcomes: &[Vec<PassOutcome>]) -> String {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    for o in outcomes.iter().flatten() {
-        eat(&(o.trace_index as u64).to_le_bytes());
-        eat(&(o.pass_index as u64).to_le_bytes());
-        eat(&o.truth.get().to_le_bytes());
-        eat(&o.estimate.get().to_le_bytes());
-        eat(&o.error_m.to_bits().to_le_bytes());
+/// FNV-1a over raw little-endian bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf29ce484222325)
     }
-    format!("{h:016x}")
+
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.eat(&x.to_bits().to_le_bytes());
+    }
+
+    fn usize(&mut self, n: usize) {
+        self.eat(&(n as u64).to_le_bytes());
+    }
+}
+
+/// Feeds every field of every outcome, in order — any reordering or
+/// numerical difference changes the digest.
+fn eat_outcomes(h: &mut Fnv, outcomes: &[Vec<PassOutcome>]) {
+    for o in outcomes.iter().flatten() {
+        h.usize(o.trace_index);
+        h.usize(o.pass_index);
+        h.eat(&o.truth.get().to_le_bytes());
+        h.eat(&o.estimate.get().to_le_bytes());
+        h.f64(o.error_m);
+    }
+}
+
+fn digest(outcomes: &[Vec<PassOutcome>]) -> String {
+    let mut h = Fnv::new();
+    eat_outcomes(&mut h, outcomes);
+    format!("{:016x}", h.0)
 }
 
 fn outcome_digest() -> String {
@@ -281,4 +303,68 @@ fn helper_print_outcome_digest() {
     if std::env::var("MOLOC_DIGEST_MODE").as_deref() == Ok("1") {
         println!("DIGEST={}", outcome_digest());
     }
+}
+
+/// Digests everything world synthesis produces: every survey scan of
+/// every split, and every trace's accelerometer, compass and gyro
+/// samples and pass scans (train then test).
+fn world_digest(world: &EvalWorld) -> u64 {
+    let mut h = Fnv::new();
+    for loc in world.survey.locations() {
+        h.eat(&loc.location.get().to_le_bytes());
+        for split in [&loc.fingerprint, &loc.motion, &loc.test] {
+            h.usize(split.len());
+            for scan in split {
+                h.usize(scan.len());
+                scan.iter().for_each(|d| h.f64(d.value()));
+            }
+        }
+    }
+    for trace in world.corpus.iter() {
+        h.eat(&trace.user.id.to_le_bytes());
+        for series in [&trace.accel, &trace.compass, &trace.gyro] {
+            h.usize(series.len());
+            series.values().iter().for_each(|&v| h.f64(v));
+        }
+        h.usize(trace.passes.len());
+        for (pass, scan) in trace.passes.iter().zip(&trace.scans) {
+            h.f64(pass.time);
+            h.eat(&pass.location.get().to_le_bytes());
+            h.usize(scan.len());
+            scan.iter().for_each(|&v| h.f64(v));
+        }
+    }
+    h.0
+}
+
+/// Digests every Fig. 7 outcome of both methods at every AP count.
+fn fig7_digest(fig: &moloc_eval::experiments::fig7::Fig7) -> u64 {
+    let mut h = Fnv::new();
+    for s in &fig.settings {
+        h.usize(s.n_aps);
+        for method in [&s.wifi, &s.moloc] {
+            eat_outcomes(&mut h, &method.outcomes);
+        }
+    }
+    h.0
+}
+
+#[test]
+fn paper_world_and_fig7_match_golden_digests() {
+    // Golden constants, not run-vs-run: any change to the synthesis RNG
+    // stream or to the float operations of the channel, the renderer
+    // or the survey changes these. A change that means to move them
+    // must say so and update both.
+    let world = EvalWorld::paper(2013);
+    assert_eq!(
+        format!("{:016x}", world_digest(&world)),
+        "5487b60189dd03bb",
+        "paper world synthesis changed"
+    );
+    let fig = moloc_eval::experiments::fig7::run(&world);
+    assert_eq!(
+        format!("{:016x}", fig7_digest(&fig)),
+        "a42ccd0be2d929f0",
+        "fig7 outcomes on the paper world changed"
+    );
 }

@@ -84,6 +84,7 @@ impl TraceCorpus {
             "train split exceeds total traces"
         );
         let renderer = TraceRenderer::default();
+        let mean_scans = env.mean_scans(grid);
         let mut traces = Vec::with_capacity(config.total_traces);
         for i in 0..config.total_traces {
             let user = &users[i % users.len()];
@@ -91,7 +92,7 @@ impl TraceCorpus {
             let path = random_walk(graph, config.segments_per_trace, &mut rng);
             let trajectory = Trajectory::from_path(&path, grid, user)
                 .expect("random walks on a connected graph have >= 2 nodes");
-            traces.push(renderer.render(&trajectory, user, env, &mut rng));
+            traces.push(renderer.render(&trajectory, user, env, &mean_scans, &mut rng));
         }
         let test = traces.split_off(config.train_traces);
         Self {

@@ -106,7 +106,7 @@ mod tests {
         let user = paper_users()[1];
         let traj = Trajectory::from_path(&[l(1), l(2), l(5), l(4)], &grid, &user).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        TraceRenderer::default().render(&traj, &user, &env, &mut rng)
+        TraceRenderer::default().render(&traj, &user, &env, &env.mean_scans(&grid), &mut rng)
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::trajectory::{PassEvent, Trajectory};
 use crate::user::UserProfile;
-use moloc_radio::RadioEnvironment;
+use moloc_radio::sampler::{RadioEnvironment, RssScan};
 use moloc_sensors::gyro::GyroSynthesizer;
 use moloc_sensors::series::TimeSeries;
 use rand::Rng;
@@ -69,14 +69,22 @@ impl TraceRenderer {
     /// follow the segment bearings through the user's placement offset
     /// and noise; one fresh RSS scan is taken at each pass.
     ///
+    /// `mean_scans` is [`RadioEnvironment::mean_scans`] of `env` over the
+    /// grid the trajectory was timed on: each pass scan is drawn about
+    /// the entry of its location, so the static channel is computed once
+    /// per grid point rather than once per pass.
+    ///
     /// # Panics
     ///
-    /// Panics if the sample rate is not positive.
+    /// Panics if the sample rate is not positive, if `mean_scans` has no
+    /// entry for a passed location, or if an entry's length is not
+    /// `env`'s AP count.
     pub fn render<R: Rng + ?Sized>(
         &self,
         trajectory: &Trajectory,
         user: &UserProfile,
         env: &RadioEnvironment,
+        mean_scans: &[RssScan],
         rng: &mut R,
     ) -> SensorTrace {
         assert!(self.sample_rate_hz > 0.0, "sample rate must be positive");
@@ -93,12 +101,13 @@ impl TraceRenderer {
         let compass_model = user.compass();
         let n = accel.len();
         let dt = 1.0 / self.sample_rate_hz;
+        let mut headings = trajectory.heading_cursor();
         let mut last_heading = 0.0;
         let mut true_headings = Vec::with_capacity(n);
         let compass_values: Vec<f64> = (0..n)
             .map(|i| {
                 let t = i as f64 * dt;
-                if let Some(h) = trajectory.heading_at(t) {
+                if let Some(h) = headings.advance_to(t) {
                     last_heading = h;
                 }
                 true_headings.push(last_heading);
@@ -115,7 +124,7 @@ impl TraceRenderer {
             .passes()
             .iter()
             .map(|p| {
-                env.scan(p.position, rng)
+                env.scan_about(&mean_scans[p.location.index()], rng)
                     .into_iter()
                     .map(f64::from)
                     .collect()
@@ -166,7 +175,7 @@ mod tests {
         let user = paper_users()[1];
         let traj = Trajectory::from_path(&[l(1), l(2), l(5)], &grid, &user).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        TraceRenderer::default().render(&traj, &user, &env, &mut rng)
+        TraceRenderer::default().render(&traj, &user, &env, &env.mean_scans(&grid), &mut rng)
     }
 
     #[test]

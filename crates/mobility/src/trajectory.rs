@@ -131,10 +131,50 @@ impl Trajectory {
         None
     }
 
-    /// Iterates over the walked segments as
-    /// `(from, to, start_time, end_time)`.
+    /// A cursor that answers [`Self::heading_at`] for non-decreasing
+    /// times, with every segment bearing computed once up front.
+    pub fn heading_cursor(&self) -> HeadingCursor<'_> {
+        HeadingCursor {
+            passes: &self.passes,
+            bearings: self
+                .segments()
+                .map(|(from, to)| from.position.bearing_deg_to_checked(to.position))
+                .collect(),
+            segment: 0,
+        }
+    }
+
+    /// Iterates over the walked segments as `(from, to)` pass pairs; a
+    /// segment spans `from.time..to.time`.
     pub fn segments(&self) -> impl Iterator<Item = (PassEvent, PassEvent)> + '_ {
         self.passes.windows(2).map(|w| (w[0], w[1]))
+    }
+}
+
+/// Forward-only [`Trajectory::heading_at`] for sample loops.
+///
+/// The cursor only ever advances, so each call costs amortized O(1)
+/// instead of a scan over every segment and a fresh `atan2`.
+#[derive(Debug, Clone)]
+pub struct HeadingCursor<'a> {
+    passes: &'a [PassEvent],
+    bearings: Vec<Option<f64>>,
+    segment: usize,
+}
+
+impl HeadingCursor<'_> {
+    /// Advances to time `t` and returns `trajectory.heading_at(t)`, as
+    /// long as `t` never decreases from one call to the next: a time on
+    /// a pass belongs to the segment after it, and past the end there
+    /// is no heading.
+    pub fn advance_to(&mut self, t: f64) -> Option<f64> {
+        while let Some(end) = self.passes.get(self.segment + 1) {
+            if t < end.time {
+                return self.bearings[self.segment];
+            }
+            self.segment += 1;
+        }
+        None
     }
 }
 

@@ -103,6 +103,61 @@ proptest! {
     }
 
     #[test]
+    fn heading_cursor_matches_heading_at_on_every_sample(
+        segments in 1usize..20,
+        seed in 0u64..100,
+        rate in 0usize..5,
+    ) {
+        // Unit speed on a 3 m grid puts every pass on a whole second, so
+        // the power-of-two rates land samples exactly on pass times.
+        let rate_hz = [1.0, 2.0, 4.0, 10.0, 7.3][rate];
+        let (grid, graph) = world(4, 3);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let path = random_walk(&graph, segments, &mut rng);
+        let mut u = user();
+        u.speed_mps = 1.0;
+        let traj = Trajectory::from_path(&path, &grid, &u).unwrap();
+        let dt = 1.0 / rate_hz;
+        let n = (traj.duration() * rate_hz) as usize + 3;
+        let mut cursor = traj.heading_cursor();
+        let mut on_pass = 0;
+        for i in 0..n {
+            let t = i as f64 * dt;
+            on_pass += usize::from(traj.passes().iter().any(|p| p.time == t));
+            let expected = traj.heading_at(t);
+            let got = cursor.advance_to(t);
+            prop_assert_eq!(got.map(f64::to_bits), expected.map(f64::to_bits), "sample {} at t = {}", i, t);
+        }
+        if rate_hz == 1.0 {
+            prop_assert_eq!(on_pass, traj.passes().len());
+        }
+    }
+
+    #[test]
+    fn heading_cursor_matches_heading_at_on_pass_times(
+        segments in 1usize..20,
+        seed in 0u64..100,
+        speed in 0.5..2.0f64,
+    ) {
+        // Probe each pass time itself plus the instants either side of
+        // it: at `t == time` the next segment's bearing applies.
+        let (grid, graph) = world(4, 3);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let path = random_walk(&graph, segments, &mut rng);
+        let mut u = user();
+        u.speed_mps = speed;
+        let traj = Trajectory::from_path(&path, &grid, &u).unwrap();
+        let mut cursor = traj.heading_cursor();
+        for p in traj.passes() {
+            for t in [p.time.next_down(), p.time, p.time.next_up()] {
+                let expected = traj.heading_at(t);
+                prop_assert_eq!(cursor.advance_to(t).map(f64::to_bits), expected.map(f64::to_bits), "t = {}", t);
+            }
+        }
+        prop_assert_eq!(cursor.advance_to(f64::INFINITY), None);
+    }
+
+    #[test]
     fn step_period_scales_inversely_with_speed(
         s1 in 0.6..1.8f64,
         s2 in 0.6..1.8f64,

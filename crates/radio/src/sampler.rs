@@ -19,7 +19,7 @@ use crate::ap::{AccessPoint, ApId};
 use crate::dbm::Dbm;
 use crate::pathloss::{LogDistance, PathLossModel};
 use crate::shadowing::ShadowingField;
-use moloc_geometry::{FloorPlan, Vec2};
+use moloc_geometry::{FloorPlan, ReferenceGrid, Vec2};
 use moloc_stats::sampling::normal;
 use rand::Rng;
 use std::sync::Arc;
@@ -110,15 +110,33 @@ impl RadioEnvironment {
         self.aps.iter().map(|ap| self.mean_rss(ap, pos)).collect()
     }
 
+    /// The mean scan at every reference location of `grid`, indexed by
+    /// [`LocationId::index`](moloc_geometry::LocationId::index): the
+    /// static channel computed once, for callers that scan the same
+    /// grid points many times (see [`Self::scan_about`]).
+    pub fn mean_scans(&self, grid: &ReferenceGrid) -> Vec<RssScan> {
+        grid.ids()
+            .map(|id| self.mean_scan(grid.position(id)))
+            .collect()
+    }
+
     /// One noisy scan at a position and instant: mean RSS plus
     /// independent temporal noise per AP, floor-clamped.
     pub fn scan<R: Rng + ?Sized>(&self, pos: Vec2, rng: &mut R) -> RssScan {
-        self.aps
-            .iter()
-            .map(|ap| {
-                (self.mean_rss(ap, pos) + normal(rng, 0.0, self.temporal_sigma_db))
-                    .clamp_floor(self.noise_floor)
-            })
+        self.scan_about(&self.mean_scan(pos), rng)
+    }
+
+    /// One noisy scan about a precomputed [`Self::mean_scan`]: the
+    /// temporal noise and floor clamp of [`Self::scan`], drawn from
+    /// `rng` in the same order, without recomputing the static channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean` does not have one entry per AP.
+    pub fn scan_about<R: Rng + ?Sized>(&self, mean: &[Dbm], rng: &mut R) -> RssScan {
+        assert_eq!(mean.len(), self.aps.len(), "mean scan length != AP count");
+        mean.iter()
+            .map(|&m| (m + normal(rng, 0.0, self.temporal_sigma_db)).clamp_floor(self.noise_floor))
             .collect()
     }
 

@@ -74,9 +74,10 @@ impl SiteSurvey {
         let samples = grid
             .ids()
             .map(|id| {
-                let pos = grid.position(id);
-                let mut all: Vec<RssScan> =
-                    (0..split.total()).map(|_| env.scan(pos, rng)).collect();
+                let mean = env.mean_scan(grid.position(id));
+                let mut all: Vec<RssScan> = (0..split.total())
+                    .map(|_| env.scan_about(&mean, rng))
+                    .collect();
                 let test = all.split_off(split.fingerprint + split.motion);
                 let motion = all.split_off(split.fingerprint);
                 LocationSamples {

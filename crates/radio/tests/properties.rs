@@ -6,6 +6,7 @@ use moloc_radio::ap::AccessPoint;
 use moloc_radio::pathloss::{FreeSpace24GHz, ItuIndoor, LogDistance, PathLossModel};
 use moloc_radio::sampler::RadioEnvironment;
 use moloc_radio::Dbm;
+use moloc_stats::sampling::normal;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,6 +91,36 @@ proptest! {
         for (s, m) in scan.iter().zip(&mean) {
             prop_assert!((s.value() - m.value()).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn scan_about_the_mean_scan_is_the_per_ap_scan_bit_for_bit(
+        x in 0.0..50.0f64,
+        y in 0.0..30.0f64,
+        sigma in 0usize..3,
+        seed in 0u64..50,
+    ) {
+        // The per-AP form `scan` had before the mean scan was hoisted:
+        // static channel and temporal draw interleaved AP by AP. A
+        // 40 dB sigma drives some draws below the floor clamp.
+        let env = env([0.0, 3.0, 40.0][sigma]);
+        let pos = Vec2::new(x, y);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let per_ap: Vec<Dbm> = env
+            .aps()
+            .iter()
+            .map(|ap| {
+                (env.mean_rss(ap, pos) + normal(&mut rng, 0.0, env.temporal_sigma_db()))
+                    .clamp_floor(env.noise_floor())
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let about = env.scan_about(&env.mean_scan(pos), &mut rng);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let scan = env.scan(pos, &mut rng);
+        let bits = |s: &[Dbm]| s.iter().map(|d| d.value().to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&about), bits(&per_ap));
+        prop_assert_eq!(bits(&scan), bits(&per_ap));
     }
 
     #[test]

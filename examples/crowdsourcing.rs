@@ -62,7 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     path.push(LocationId::new(1));
     let trajectory = Trajectory::from_path(&path, &grid, &user)?;
-    let trace = TraceRenderer::default().render(&trajectory, &user, &env, &mut rng);
+    let mean_scans = env.mean_scans(&grid);
+    let trace = TraceRenderer::default().render(&trajectory, &user, &env, &mean_scans, &mut rng);
     println!(
         "rendered a {:.0}-second trace: {} passes, {} accel samples",
         trace.duration(),
