@@ -219,8 +219,13 @@ fn bench_micro(c: &mut Criterion) {
 
     let trace = &world.corpus.test[0];
     c.bench_function("micro/step_detection_full_trace", |b| {
-        b.iter(|| black_box(detector.detect(&trace.accel)))
+        b.iter(|| black_box(detector.detect(trace.accel())))
     });
+    // The trace keeps its first interval measurement, so after the
+    // first iteration this arm prices the memoized path: k-NN per pass,
+    // heading calibration and the copy of the memo. The uncached
+    // measurement shows in `micro/step_detection_full_trace` above and
+    // in perfbench's `mobility.intervals_us`.
     c.bench_function("micro/trace_analysis_full", |b| {
         b.iter(|| {
             black_box(moloc_eval::pipeline::analyze_trace(

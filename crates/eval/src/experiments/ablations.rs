@@ -37,9 +37,8 @@ pub fn csc_vs_dsc(world: &EvalWorld) -> CscVsDsc {
     let detector = StepDetector::default();
     let per_trace = par_map(&world.corpus.train, |trace| {
         let step_length = trace.user.step_length_m();
-        let intervals = moloc_mobility::intervals::measure_intervals(trace, &detector);
         let (mut csc, mut dsc) = (Vec::new(), Vec::new());
-        for interval in &intervals {
+        for interval in trace.intervals(&detector).iter() {
             let truth = world.hall.grid.distance(
                 trace.passes[interval.from_index].location,
                 trace.passes[interval.to_index].location,
@@ -472,9 +471,9 @@ pub fn heading_fusion(world: &EvalWorld, seed: u64) -> HeadingFusionAblation {
         let offset = user.placement_offset_deg + user.compass_bias_deg;
 
         // Fused heading over the whole trace.
-        let initial = trace.compass.values().first().copied().unwrap_or(0.0);
+        let initial = trace.compass().values().first().copied().unwrap_or(0.0);
         let fused =
-            HeadingFusion::new(initial, 4.0, 25.0 * 25.0).fuse_series(&trace.gyro, &trace.compass);
+            HeadingFusion::new(initial, 4.0, 25.0 * 25.0).fuse_series(&trace.gyro, trace.compass());
 
         let (mut compass_errors, mut fused_errors) = (Vec::new(), Vec::new());
         for w in trace.passes.windows(2) {
@@ -482,7 +481,7 @@ pub fn heading_fusion(world: &EvalWorld, seed: u64) -> HeadingFusionAblation {
                 .position
                 .bearing_deg_to_checked(w[1].position)
                 .expect("distinct passes");
-            let compass_slice = trace.compass.slice_time(w[0].time, w[1].time);
+            let compass_slice = trace.compass().slice_time(w[0].time, w[1].time);
             let fused_slice = fused.slice_time(w[0].time, w[1].time);
             if let Some(d) = motion_direction_deg(&compass_slice, offset) {
                 compass_errors.push(abs_diff_deg(d, truth));

@@ -31,7 +31,7 @@ use moloc_fingerprint::index::FingerprintIndex;
 use moloc_fingerprint::nn_localizer::NnLocalizer;
 use moloc_geometry::LocationId;
 use moloc_mobility::corpus::{CorpusConfig, TraceCorpus};
-use moloc_mobility::intervals::{measure_intervals, IntervalMeasurement};
+use moloc_mobility::intervals::IntervalMeasurement;
 use moloc_mobility::render::SensorTrace;
 use moloc_mobility::user::paper_users;
 use moloc_motion::builder::{BuildReport, MotionDbBuilder};
@@ -269,7 +269,10 @@ fn analyze_trace_with(
         })
         .collect();
 
-    let intervals = measure_intervals(trace, detector);
+    // Measured on the first analysis of this trace and borrowed from
+    // the trace's memo on every later one (each AP count re-analyzes
+    // the same corpus).
+    let intervals = trace.intervals(detector).into_owned();
 
     // Zee-style calibration: raw compass direction vs map bearing of
     // the estimated endpoints. Wrong endpoint estimates contaminate the

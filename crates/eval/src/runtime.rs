@@ -187,6 +187,9 @@ struct JobState {
     deadline: Option<Instant>,
     /// Set by the first worker that observes the deadline passed.
     expired: AtomicBool,
+    /// Set by the submitter when a pool worker is still inside the job
+    /// [`STALL_GRACE`] past the deadline.
+    stalled: AtomicBool,
     /// Items whose shard ran to completion (all workers).
     completed: AtomicUsize,
 }
@@ -371,6 +374,7 @@ impl Runtime {
             steals: AtomicUsize::new(0),
             deadline,
             expired: AtomicBool::new(false),
+            stalled: AtomicBool::new(false),
             completed: AtomicUsize::new(0),
         });
 
@@ -390,7 +394,6 @@ impl Runtime {
         let items = job.work(0);
         IN_JOB.with(|f| f.set(false));
         record_items(items);
-        let mut stall_detected = false;
         {
             let mut slot = lock(&self.slot);
             while job.pending.load(Ordering::Acquire) > 0 {
@@ -404,11 +407,11 @@ impl Runtime {
                             .wait_timeout(slot, STALL_POLL)
                             .unwrap_or_else(|e| e.into_inner())
                             .0;
-                        if !stall_detected
+                        if !job.stalled.load(Ordering::Relaxed)
                             && Instant::now() >= deadline + STALL_GRACE
                             && job.pending.load(Ordering::Acquire) > 0
                         {
-                            stall_detected = true;
+                            job.stalled.store(true, Ordering::Release);
                             if moloc_obs::is_enabled() {
                                 moloc_obs::counter_add("eval.runtime.stalls_detected", 1);
                             }
@@ -425,7 +428,7 @@ impl Runtime {
             );
             moloc_obs::counter_add("eval.runtime.jobs", 1);
         }
-        self.settle(&job, stall_detected)
+        self.settle(&job)
     }
 
     /// Drains a job entirely on the calling thread (pool contended).
@@ -434,18 +437,18 @@ impl Runtime {
         let items = job.work(0);
         IN_JOB.with(|f| f.set(false));
         record_items(items);
-        self.settle(job, false)
+        self.settle(job)
     }
 
     /// Post-drain accounting shared by the pooled and inline paths:
     /// build the report, quarantine a poisoned job, rethrow its panic.
-    fn settle(&self, job: &Arc<JobState>, stall_detected: bool) -> JobReport {
+    fn settle(&self, job: &Arc<JobState>) -> JobReport {
         let report = JobReport {
             job_id: job.job_id,
             completed_items: job.completed.load(Ordering::Relaxed),
             abandoned_items: job.abandoned_items(),
             expired: job.expired.load(Ordering::Relaxed),
-            stall_detected,
+            stall_detected: job.stalled.load(Ordering::Relaxed),
         };
         if report.expired && moloc_obs::is_enabled() {
             moloc_obs::counter_add("eval.runtime.deadline_expired", 1);
@@ -844,36 +847,58 @@ mod tests {
 
     #[test]
     fn stalled_worker_past_deadline_is_detected_and_waited_out() {
-        // Exactly one *pool* worker wedges well past the deadline (the
-        // submitter's shard spins until the wedge is claimed, so the job
-        // cannot drain early); the submitter must flag the stall but
-        // still wait the worker out — the closure borrows this frame.
-        let wedged = AtomicBool::new(false);
-        let report = Runtime::global().run_shards_deadline(
-            4,
-            shard_ranges(8, 1),
-            Some(Instant::now() + Duration::from_millis(50)),
-            &|_range| {
-                let on_pool = thread::current()
-                    .name()
-                    .is_some_and(|n| n.starts_with("moloc-worker"));
-                if on_pool {
-                    if !wedged.swap(true, Ordering::SeqCst) {
-                        thread::sleep(Duration::from_millis(400));
+        // Exactly one *pool* worker wedges past the deadline; the
+        // submitter must flag the stall but still wait the worker out —
+        // the closure borrows this frame. The wedge holds until the job
+        // itself records the stall, so a submitter that polls late
+        // cannot miss it. The submitter's shard spins until the wedge
+        // is claimed or the deadline passes, so the job cannot drain
+        // before a pool worker arrives. A run that no pool worker joined
+        // before the deadline (the pool was running another test's job,
+        // or woke late) has no wedge to detect and is run again.
+        for attempt in 1.. {
+            let wedged = AtomicBool::new(false);
+            let deadline = Instant::now() + Duration::from_millis(50);
+            let report = Runtime::global().run_shards_deadline(
+                4,
+                shard_ranges(8, 1),
+                Some(deadline),
+                &|_range| {
+                    let on_pool = thread::current()
+                        .name()
+                        .is_some_and(|n| n.starts_with("moloc-worker"));
+                    if on_pool {
+                        if !wedged.swap(true, Ordering::SeqCst) {
+                            let job = lock(&Runtime::global().slot)
+                                .job
+                                .clone()
+                                .expect("a pool worker runs inside a published job");
+                            let start = Instant::now();
+                            while !job.stalled.load(Ordering::Acquire)
+                                && start.elapsed() < Duration::from_secs(10)
+                            {
+                                thread::sleep(Duration::from_millis(1));
+                            }
+                        }
+                    } else {
+                        while !wedged.load(Ordering::SeqCst) && Instant::now() < deadline {
+                            thread::sleep(Duration::from_millis(1));
+                        }
                     }
-                } else {
-                    let start = Instant::now();
-                    while !wedged.load(Ordering::SeqCst)
-                        && start.elapsed() < Duration::from_secs(2)
-                    {
-                        thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            },
-        );
-        assert!(report.stall_detected, "wedged worker must be flagged");
-        // Whatever was abandoned, nothing may be double-counted.
-        assert!(report.completed_items + report.abandoned_items <= 8);
+                },
+            );
+            if !wedged.load(Ordering::SeqCst) {
+                assert!(
+                    attempt < 100,
+                    "no pool worker joined the job in {attempt} runs"
+                );
+                continue;
+            }
+            assert!(report.stall_detected, "wedged worker must be flagged");
+            // Whatever was abandoned, nothing may be double-counted.
+            assert!(report.completed_items + report.abandoned_items <= 8);
+            break;
+        }
     }
 
     #[test]

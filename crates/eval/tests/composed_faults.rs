@@ -23,9 +23,11 @@ use std::sync::OnceLock;
 
 use moloc_core::config::MoLocConfig;
 use moloc_eval::experiments::robustness::{localize_faulted, DegradationCounts};
-use moloc_eval::pipeline::{EvalWorld, PassOutcome, Setting};
-use moloc_faults::plan::FaultSuite;
+use moloc_eval::pipeline::{analyze_trace, EvalWorld, PassOutcome, Setting};
+use moloc_faults::plan::{apply_to_trace, FaultSuite};
 use moloc_faults::{ApDropout, RlmCorruption, SensorGap};
+use moloc_mobility::render::SensorTrace;
+use moloc_sensors::steps::StepDetector;
 
 const SEED: u64 = 2013;
 const N_APS: usize = 6;
@@ -186,4 +188,55 @@ fn composed_grid_completes_with_monotone_rungs_along_dropout() {
             );
         }
     }
+}
+
+/// A trace's interval memo is keyed on pass times and the detector, not
+/// on the sensor streams, so a fault that rewrites a stream must drop
+/// it. Faulting a clone whose memo is filled must analyze exactly like
+/// faulting a clone whose memo is empty.
+#[test]
+fn faults_on_a_memoized_trace_never_see_stale_intervals() {
+    let fx = fixture();
+    let detector = StepDetector::default();
+    let gap = SensorGap {
+        gaps_per_trace: 2,
+        gap_s: 3.0,
+        seed: SEED ^ 0x4741_5053,
+    };
+    let analyze = |trace: &SensorTrace| {
+        let analysis = analyze_trace(
+            trace,
+            &fx.setting.fdb,
+            &fx.world.hall,
+            &detector,
+            fx.setting.counting,
+            N_APS,
+        );
+        // Debug prints every float in round-trip form, so equal strings
+        // are bit-identical analyses, NaN step counts included.
+        format!("{analysis:?}")
+    };
+    let mut changed = 0;
+    for (i, original) in fx.world.corpus.test.iter().enumerate() {
+        // Analyzing `warm` fills its memo; its clone below keeps it.
+        let warm = original.clone();
+        let clean = analyze(&warm);
+        // A serde round trip yields the same trace with an empty memo.
+        let json = serde_json::to_string(original).expect("trace serializes");
+        let mut cold: SensorTrace = serde_json::from_str(&json).expect("trace deserializes");
+        assert_eq!(&cold, original);
+
+        let mut faulted_warm = warm.clone();
+        apply_to_trace(&gap, i as u64, &mut faulted_warm);
+        apply_to_trace(&gap, i as u64, &mut cold);
+        let faulted = analyze(&cold);
+        assert_eq!(
+            analyze(&faulted_warm),
+            faulted,
+            "trace {i}: the memoized clone analyzed stale intervals"
+        );
+        changed += usize::from(faulted != clean);
+    }
+    // The fault must move some analyses, or the check proves nothing.
+    assert!(changed > 0, "the gap fault never changed an analysis");
 }

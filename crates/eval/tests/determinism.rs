@@ -322,7 +322,7 @@ fn world_digest(world: &EvalWorld) -> u64 {
     }
     for trace in world.corpus.iter() {
         h.eat(&trace.user.id.to_le_bytes());
-        for series in [&trace.accel, &trace.compass, &trace.gyro] {
+        for series in [trace.accel(), trace.compass(), &trace.gyro] {
             h.usize(series.len());
             series.values().iter().for_each(|&v| h.f64(v));
         }

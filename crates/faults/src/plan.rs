@@ -51,8 +51,8 @@ pub fn apply_to_trace(plan: &dyn FaultPlan, trace_index: u64, trace: &mut Sensor
     for (pass, scan) in trace.scans.iter_mut().enumerate() {
         plan.apply_scan(trace_index, pass as u64, scan);
     }
-    plan.apply_accel(trace_index, &mut trace.accel);
-    plan.apply_compass(trace_index, &mut trace.compass);
+    plan.apply_accel(trace_index, trace.accel_mut());
+    plan.apply_compass(trace_index, trace.compass_mut());
 }
 
 /// An ordered composition of fault plans: each hook delegates to every

@@ -12,6 +12,8 @@ use moloc_sensors::series::TimeSeries;
 use moloc_sensors::steps::StepDetector;
 use moloc_stats::circular::circular_mean_deg;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Raw motion measurements of one inter-pass interval.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -31,17 +33,10 @@ pub struct IntervalMeasurement {
     pub duration_s: f64,
 }
 
-/// Measures every inter-pass interval of a trace.
+/// Measures every inter-pass interval of a trace, uncached.
 ///
-/// # Examples
-///
-/// See the integration tests in `tests/` for an end-to-end use; the
-/// shape is:
-///
-/// ```ignore
-/// let measurements = measure_intervals(&trace, &StepDetector::default());
-/// assert_eq!(measurements.len(), trace.pass_count() - 1);
-/// ```
+/// [`SensorTrace::intervals`] returns the same measurements and keeps
+/// the first result for later calls; its doc has a runnable example.
 pub fn measure_intervals(trace: &SensorTrace, detector: &StepDetector) -> Vec<IntervalMeasurement> {
     // One scratch set serves every interval: the slices, the smoothed
     // signal, and the step list are rewritten in place, so the whole
@@ -56,8 +51,8 @@ pub fn measure_intervals(trace: &SensorTrace, detector: &StepDetector) -> Vec<In
         .enumerate()
         .map(|(i, w)| {
             let (t0, t1) = (w[0].time, w[1].time);
-            trace.accel.slice_time_into(t0, t1, &mut accel);
-            trace.compass.slice_time_into(t0, t1, &mut compass);
+            trace.accel().slice_time_into(t0, t1, &mut accel);
+            trace.compass().slice_time_into(t0, t1, &mut compass);
             detector.detect_into(&accel, &mut smoothed, &mut steps);
             IntervalMeasurement {
                 from_index: i,
@@ -76,6 +71,87 @@ pub fn measure_intervals(trace: &SensorTrace, detector: &StepDetector) -> Vec<In
             }
         })
         .collect()
+}
+
+/// A trace's first interval measurement, with what it was measured
+/// under: the detector and the bit pattern of every pass time.
+///
+/// Equality ignores the memo, so a trace compares by its data alone.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IntervalMemo(OnceLock<Memoized>);
+
+#[derive(Debug, Clone)]
+struct Memoized {
+    detector: StepDetector,
+    pass_times: Box<[u64]>,
+    intervals: Box<[IntervalMeasurement]>,
+}
+
+impl IntervalMemo {
+    /// Borrows the memo when its key matches `trace` and `detector`,
+    /// filling it on the first call; otherwise measures afresh and
+    /// leaves the memo as it is.
+    pub(crate) fn get_or_measure<'a>(
+        &'a self,
+        trace: &SensorTrace,
+        detector: &StepDetector,
+    ) -> Cow<'a, [IntervalMeasurement]> {
+        let memo = self.0.get_or_init(|| Memoized {
+            detector: *detector,
+            pass_times: trace.passes.iter().map(|p| p.time.to_bits()).collect(),
+            intervals: measure_intervals(trace, detector).into_boxed_slice(),
+        });
+        let same_passes = memo
+            .pass_times
+            .iter()
+            .copied()
+            .eq(trace.passes.iter().map(|p| p.time.to_bits()));
+        if same_passes && detector_bits(&memo.detector) == detector_bits(detector) {
+            Cow::Borrowed(&memo.intervals)
+        } else {
+            Cow::Owned(measure_intervals(trace, detector))
+        }
+    }
+
+    /// Forgets the memoized measurement.
+    pub(crate) fn clear(&mut self) {
+        self.0.take();
+    }
+}
+
+impl PartialEq for IntervalMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// A detector's parameters as bits, so the memo key is exact even for
+/// signed zeros and NaN thresholds.
+fn detector_bits(d: &StepDetector) -> (usize, u64, u64, u64) {
+    (
+        d.smooth_window,
+        d.walking_variance_threshold.to_bits(),
+        d.peak_threshold_sigma.to_bits(),
+        d.min_step_interval_s.to_bits(),
+    )
+}
+
+/// Serde adapter for [`IntervalMemo`]: writes unit and reads back an
+/// empty memo, so a memo never reaches the wire.
+pub(crate) mod memo_unserialized {
+    use super::IntervalMemo;
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+
+    pub fn serialize<S: Serializer>(_: &IntervalMemo, serializer: S) -> Result<S::Ok, S::Error> {
+        ().serialize(serializer)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(
+        deserializer: D,
+    ) -> Result<IntervalMemo, D::Error> {
+        <()>::deserialize(deserializer)?;
+        Ok(IntervalMemo::default())
+    }
 }
 
 #[cfg(test)]
@@ -159,8 +235,8 @@ mod tests {
             TimeSeries::default(),
             TimeSeries::new(0.0, 10.0, vec![9.8]).unwrap(),
         ] {
-            t.accel = series.clone();
-            t.compass = series;
+            *t.accel_mut() = series.clone();
+            *t.compass_mut() = series;
             let m = measure_intervals(&t, &StepDetector::default());
             assert_eq!(m.len(), t.passes.len() - 1);
             for meas in &m {
@@ -178,7 +254,7 @@ mod tests {
         // NaN compass samples (sensor gaps) are masked from the
         // circular mean; a fully-gapped interval yields `None`.
         let mut t = trace(6);
-        t.compass = t.compass.map(|_| f64::NAN);
+        *t.compass_mut() = t.compass().map(|_| f64::NAN);
         let m = measure_intervals(&t, &StepDetector::default());
         assert!(m.iter().all(|meas| meas.raw_direction_deg.is_none()));
     }

@@ -5,15 +5,23 @@
 //! compass readings at 10 Hz, and a WiFi scan at every reference-
 //! location pass (the trace-driven protocol of Sec. VI-A).
 
+use crate::intervals::{memo_unserialized, IntervalMeasurement, IntervalMemo};
 use crate::trajectory::{PassEvent, Trajectory};
 use crate::user::UserProfile;
 use moloc_radio::sampler::{RadioEnvironment, RssScan};
 use moloc_sensors::gyro::GyroSynthesizer;
 use moloc_sensors::series::TimeSeries;
+use moloc_sensors::steps::StepDetector;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A fully rendered walking trace.
+///
+/// The accelerometer and compass streams are private so that every
+/// write goes through [`SensorTrace::accel_mut`] or
+/// [`SensorTrace::compass_mut`], which drop the memoized
+/// [`SensorTrace::intervals`] result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SensorTrace {
     /// The walker.
@@ -21,14 +29,18 @@ pub struct SensorTrace {
     /// Ground-truth passes over reference locations.
     pub passes: Vec<PassEvent>,
     /// Accelerometer magnitude at the renderer's sample rate.
-    pub accel: TimeSeries,
+    accel: TimeSeries,
     /// Compass readings (degrees, wrapped) at the same rate.
-    pub compass: TimeSeries,
+    compass: TimeSeries,
     /// Gyroscope z-axis turn rates (°/s) at the same rate — the raw
     /// material of the paper's future-work heading fusion.
     pub gyro: TimeSeries,
     /// One RSS scan (dBm per AP) per pass, aligned with `passes`.
     pub scans: Vec<Vec<f64>>,
+    /// The first [`SensorTrace::intervals`] result. A cache, not part
+    /// of the trace's value: equality ignores it and serde skips it.
+    #[serde(with = "memo_unserialized")]
+    memo: IntervalMemo,
 }
 
 impl SensorTrace {
@@ -40,6 +52,74 @@ impl SensorTrace {
     /// Total duration in seconds.
     pub fn duration(&self) -> f64 {
         self.passes.last().map_or(0.0, |p| p.time)
+    }
+
+    /// Accelerometer magnitude at the renderer's sample rate.
+    pub fn accel(&self) -> &TimeSeries {
+        &self.accel
+    }
+
+    /// Compass readings (degrees, wrapped) at the same rate.
+    pub fn compass(&self) -> &TimeSeries {
+        &self.compass
+    }
+
+    /// Mutable accelerometer stream; drops the interval memo first.
+    pub fn accel_mut(&mut self) -> &mut TimeSeries {
+        self.memo.clear();
+        &mut self.accel
+    }
+
+    /// Mutable compass stream; drops the interval memo first.
+    pub fn compass_mut(&mut self) -> &mut TimeSeries {
+        self.memo.clear();
+        &mut self.compass
+    }
+
+    /// Every inter-pass interval measured with `detector`, bit-identical
+    /// to [`crate::intervals::measure_intervals`].
+    ///
+    /// The first call measures and keeps the result; later calls with
+    /// the same detector and the same pass times (compared bit for bit)
+    /// borrow it. Any other call measures afresh without replacing the
+    /// memo. `passes` stays public, so its times are part of the key;
+    /// the sensor streams are not, because writing them clears the memo.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use moloc_geometry::polygon::Aabb;
+    /// use moloc_geometry::{FloorPlan, LocationId, ReferenceGrid, Vec2};
+    /// use moloc_mobility::intervals::measure_intervals;
+    /// use moloc_mobility::render::TraceRenderer;
+    /// use moloc_mobility::trajectory::Trajectory;
+    /// use moloc_mobility::user::paper_users;
+    /// use moloc_radio::ap::AccessPoint;
+    /// use moloc_radio::RadioEnvironment;
+    /// use moloc_sensors::steps::StepDetector;
+    /// use rand::rngs::StdRng;
+    /// use rand::SeedableRng;
+    ///
+    /// let plan = FloorPlan::new(Aabb::new(Vec2::ZERO, Vec2::new(20.0, 10.0)).unwrap());
+    /// let env = RadioEnvironment::builder(plan)
+    ///     .ap(AccessPoint::new(0, Vec2::new(10.0, 5.0), -20.0))
+    ///     .build()
+    ///     .unwrap();
+    /// let grid = ReferenceGrid::new(Vec2::new(2.0, 8.0), 3, 2, 4.0, 4.0).unwrap();
+    /// let user = paper_users()[1];
+    /// let path = [1, 2, 5, 4].map(LocationId::new);
+    /// let trajectory = Trajectory::from_path(&path, &grid, &user).unwrap();
+    /// let mut rng = StdRng::seed_from_u64(1);
+    /// let trace =
+    ///     TraceRenderer::default().render(&trajectory, &user, &env, &env.mean_scans(&grid), &mut rng);
+    ///
+    /// let detector = StepDetector::default();
+    /// let intervals = trace.intervals(&detector);
+    /// assert_eq!(intervals.len(), trace.pass_count() - 1);
+    /// assert_eq!(*intervals, *measure_intervals(&trace, &detector));
+    /// ```
+    pub fn intervals(&self, detector: &StepDetector) -> Cow<'_, [IntervalMeasurement]> {
+        self.memo.get_or_measure(self, detector)
     }
 }
 
@@ -138,6 +218,7 @@ impl TraceRenderer {
             compass,
             gyro,
             scans,
+            memo: IntervalMemo::default(),
         }
     }
 }
@@ -184,14 +265,14 @@ mod tests {
         assert_eq!(trace.pass_count(), 3);
         assert_eq!(trace.scans.len(), 3);
         assert_eq!(trace.scans[0].len(), 2);
-        assert_eq!(trace.accel.len(), trace.compass.len());
-        assert!((trace.accel.duration() - trace.duration()).abs() < 0.2);
+        assert_eq!(trace.accel().len(), trace.compass().len());
+        assert!((trace.accel().duration() - trace.duration()).abs() < 0.2);
     }
 
     #[test]
     fn accel_contains_detectable_steps() {
         let trace = render_simple(2);
-        let steps = StepDetector::default().detect(&trace.accel);
+        let steps = StepDetector::default().detect(trace.accel());
         // 8 m at user 2's step length (~0.70 m) ≈ 11 steps.
         let expected = 8.0 / trace.user.step_length_m();
         assert!(
@@ -206,7 +287,7 @@ mod tests {
         let trace = render_simple(3);
         let offset = trace.user.placement_offset_deg + trace.user.compass_bias_deg;
         // First segment heads east (90°).
-        let first = trace.compass.slice_time(0.0, 3.0);
+        let first = trace.compass().slice_time(0.0, 3.0);
         let mean =
             moloc_stats::circular::circular_mean_deg(first.values().iter().copied()).unwrap();
         assert!(

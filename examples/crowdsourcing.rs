@@ -14,7 +14,6 @@
 //! batch of deliberately corrupted RLMs.
 
 use moloc::geometry::polygon::Aabb;
-use moloc::mobility::intervals::measure_intervals;
 use moloc::mobility::render::TraceRenderer;
 use moloc::mobility::trajectory::Trajectory;
 use moloc::mobility::user::paper_users;
@@ -68,12 +67,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "rendered a {:.0}-second trace: {} passes, {} accel samples",
         trace.duration(),
         trace.pass_count(),
-        trace.accel.len()
+        trace.accel().len()
     );
 
     // Motion processing: steps and raw directions per interval.
     let detector = StepDetector::default();
-    let intervals = measure_intervals(&trace, &detector);
+    let intervals = trace.intervals(&detector);
     println!("\nfirst per-interval motion measurements:");
     for m in intervals.iter().take(8) {
         println!(
@@ -96,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // estimated endpoints.
     let map = MapReference::new(&grid, &graph);
     let mut calib = HeadingOffsetEstimator::new();
-    for m in &intervals {
+    for m in intervals.iter() {
         let (from, to) = (estimates[m.from_index], estimates[m.to_index]);
         if from == to {
             continue;
@@ -114,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Feed the RLMs through the sanitizing builder, plus some corrupted
     // ones a buggy client might upload.
     let mut builder = MotionDbBuilder::new(map, SanitationConfig::paper())?;
-    for m in &intervals {
+    for m in intervals.iter() {
         let (from, to) = (estimates[m.from_index], estimates[m.to_index]);
         if from == to {
             continue;
@@ -159,7 +158,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "\nstep counting on the first interval: DSC {:.0} steps vs CSC {:.2} steps over {:.1} s",
             m.steps_dsc, m.steps_csc, m.duration_s
         );
-        let accel = trace.accel.slice_time(0.0, m.duration_s);
+        let accel = trace.accel().slice_time(0.0, m.duration_s);
         let steps = detector.detect(&accel);
         println!("   (CSC recomputed: {:.2})", csc(&steps, m.duration_s));
     }
