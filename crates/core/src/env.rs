@@ -13,6 +13,11 @@
 //! resolution) still use these parsers and fail fast; entry-point
 //! binaries call their crate's `validate_env()` first so the operator
 //! sees the typed error before any work starts.
+//!
+//! The worker-pool knobs `MOLOC_THREADS` and `MOLOC_CHUNK` are parsed
+//! under the same positive-integer rule by `moloc-runtime`, which sits
+//! below this crate; `moloc_eval::parallel::validate_env` reports its
+//! error as the same [`MolocError::InvalidConfig`].
 
 use crate::error::MolocError;
 

@@ -21,9 +21,10 @@
 //! * [`parallel`] — order-preserving parallel maps over the persistent
 //!   work-stealing [`runtime`] (`MOLOC_THREADS` controls the width;
 //!   results are byte-identical to a serial run at every width and
-//!   chunk size).
+//!   chunk size), re-exported from `moloc-runtime`.
 //! * [`runtime`] — the process-wide work-stealing worker pool:
-//!   per-worker deques, chunked shards, lock-free slot collection.
+//!   per-worker deques, chunked shards, lock-free slot collection
+//!   (`moloc_runtime::pool`, re-exported).
 //! * [`arena`] — per-worker pools of reusable localization scratch so
 //!   steady-state evaluation does zero hot-path allocation.
 //! * [`report`] — plain-text rendering of tables and CDF series in the
@@ -44,9 +45,9 @@ pub mod observe;
 pub mod parallel;
 pub mod pipeline;
 pub mod report;
-pub mod runtime;
 pub mod scenario;
 
 pub use cache::{ScenarioCache, SettingArtifacts};
+pub use moloc_runtime::pool as runtime;
 pub use pipeline::{EvalWorld, Setting};
 pub use scenario::OfficeHall;

@@ -17,7 +17,19 @@ use moloc_core::matching::build_kernel;
 use moloc_core::tracker::MoLocTracker;
 use moloc_eval::parallel::{par_run, set_worker_override, thread_count};
 use moloc_eval::pipeline::{analyze_trace, localize_moloc, localize_wifi, EvalWorld, PassOutcome};
+use moloc_eval::OfficeHall;
+use moloc_mobility::corpus::{CorpusConfig, TraceCorpus};
+use moloc_mobility::user::paper_users;
 use moloc_sensors::steps::StepDetector;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests that arm the process-global worker override,
+/// so that each runs at the widths it names.
+static OVERRIDE_GATE: Mutex<()> = Mutex::new(());
+
+fn override_gate() -> MutexGuard<'static, ()> {
+    OVERRIDE_GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn thread_count_env_contract() {
@@ -98,18 +110,7 @@ fn serial_child_process_matches_parallel_parent() {
         .output()
         .expect("spawn serial child");
     assert!(out.status.success(), "child failed: {out:?}");
-    // --nocapture interleaves the digest with libtest's own output, so
-    // scan for the marker anywhere rather than at line starts.
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let serial_digest = stdout
-        .split("DIGEST=")
-        .nth(1)
-        .map(|rest| {
-            rest.chars()
-                .take_while(char::is_ascii_hexdigit)
-                .collect::<String>()
-        })
-        .expect("child printed a digest");
+    let serial_digest = printed_digest(&out.stdout, "DIGEST=");
     assert_eq!(
         serial_digest, digest,
         "serial (MOLOC_THREADS=1) and parallel outcomes diverged"
@@ -123,6 +124,7 @@ fn outcome_digest_is_invariant_across_worker_counts() {
     // 8 workers in-process (the override reshapes shard deques and
     // steal patterns without touching the environment) and require the
     // full-pipeline digest to be byte-identical every time.
+    let _gate = override_gate();
     let baseline = outcome_digest();
     for workers in [1usize, 2, 3, 8] {
         set_worker_override(Some(workers));
@@ -165,21 +167,27 @@ fn serial_child_digest_survives_thread_and_chunk_settings() {
             out.status.success(),
             "child {threads}/{chunk:?} failed: {out:?}"
         );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let child_digest = stdout
-            .split("DIGEST=")
-            .nth(1)
-            .map(|rest| {
-                rest.chars()
-                    .take_while(char::is_ascii_hexdigit)
-                    .collect::<String>()
-            })
-            .expect("child printed a digest");
+        let child_digest = printed_digest(&out.stdout, "DIGEST=");
         assert_eq!(
             child_digest, digest,
             "MOLOC_THREADS={threads} MOLOC_CHUNK={chunk:?} diverged from the parent"
         );
     }
+}
+
+/// The hex digest a child printed after `marker`. `--nocapture`
+/// interleaves it with libtest's own output, so the marker is searched
+/// for anywhere rather than at line starts.
+fn printed_digest(stdout: &[u8], marker: &str) -> String {
+    String::from_utf8_lossy(stdout)
+        .split(marker)
+        .nth(1)
+        .map(|rest| {
+            rest.chars()
+                .take_while(char::is_ascii_hexdigit)
+                .collect::<String>()
+        })
+        .unwrap_or_else(|| panic!("child printed no {marker}"))
 }
 
 /// FNV-1a over raw little-endian bytes.
@@ -320,7 +328,14 @@ fn world_digest(world: &EvalWorld) -> u64 {
             }
         }
     }
-    for trace in world.corpus.iter() {
+    eat_corpus(&mut h, &world.corpus);
+    h.0
+}
+
+/// Feeds every trace's user, accelerometer, compass and gyro samples,
+/// pass times and locations, and pass scans (train then test).
+fn eat_corpus(h: &mut Fnv, corpus: &TraceCorpus) {
+    for trace in corpus.iter() {
         h.eat(&trace.user.id.to_le_bytes());
         for series in [trace.accel(), trace.compass(), &trace.gyro] {
             h.usize(series.len());
@@ -334,7 +349,6 @@ fn world_digest(world: &EvalWorld) -> u64 {
             scan.iter().for_each(|&v| h.f64(v));
         }
     }
-    h.0
 }
 
 /// Digests every Fig. 7 outcome of both methods at every AP count.
@@ -367,4 +381,74 @@ fn paper_world_and_fig7_match_golden_digests() {
         "a42ccd0be2d929f0",
         "fig7 outcomes on the paper world changed"
     );
+}
+
+/// The corpus of the width tests: the paper hall, 90 traces.
+fn width_test_corpus() -> TraceCorpus {
+    let hall = OfficeHall::paper();
+    TraceCorpus::generate(
+        &hall.env,
+        &hall.grid,
+        &hall.graph,
+        &paper_users(),
+        CorpusConfig::small(29),
+    )
+}
+
+fn corpus_digest(corpus: &TraceCorpus) -> String {
+    let mut h = Fnv::new();
+    eat_corpus(&mut h, corpus);
+    format!("{:016x}", h.0)
+}
+
+/// Renders the width-test corpus at pool widths 1, 2 and 4, requires
+/// the wider corpora to equal the width-1 one, and returns the width-1
+/// corpus.
+fn corpus_at_widths_1_2_4() -> TraceCorpus {
+    let _gate = override_gate();
+    set_worker_override(Some(1));
+    let serial = width_test_corpus();
+    for width in [2usize, 4] {
+        set_worker_override(Some(width));
+        let pooled = width_test_corpus();
+        set_worker_override(None);
+        assert!(
+            pooled == serial,
+            "corpus rendered at width {width} differs from width 1"
+        );
+    }
+    set_worker_override(None);
+    serial
+}
+
+#[test]
+fn corpus_is_identical_at_every_width_and_chunk_size() {
+    // Each trace continues its own stream into its own buffers, so
+    // neither the pool width nor the shard boundaries may reach the
+    // corpus. MOLOC_CHUNK is parsed once per process, so the chunk-1
+    // arm (one trace per shard, maximal stealing) runs as a child that
+    // repeats the width sweep and prints its width-1 digest.
+    let digest = corpus_digest(&corpus_at_widths_1_2_4());
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args(["helper_print_corpus_digest", "--exact", "--nocapture"])
+        .env("MOLOC_CHUNK", "1")
+        .env("MOLOC_DIGEST_MODE", "1")
+        .output()
+        .expect("spawn chunk-1 child");
+    assert!(out.status.success(), "chunk-1 child failed: {out:?}");
+    assert_eq!(
+        printed_digest(&out.stdout, "CORPUS_DIGEST="),
+        digest,
+        "MOLOC_CHUNK=1 corpus diverged from the parent's"
+    );
+}
+
+#[test]
+fn helper_print_corpus_digest() {
+    // Only does work as the child of
+    // `corpus_is_identical_at_every_width_and_chunk_size`.
+    if std::env::var("MOLOC_DIGEST_MODE").as_deref() == Ok("1") {
+        println!("CORPUS_DIGEST={}", corpus_digest(&corpus_at_widths_1_2_4()));
+    }
 }

@@ -3,7 +3,8 @@
 //! Sec. VI-A: four users, 184 traces covering every reference location
 //! 30+ times; 150 traces train the motion database, 34 are held out for
 //! localization. [`TraceCorpus::generate`] reproduces the protocol with
-//! a single master seed.
+//! a single master seed, rendering the traces on the worker pool of
+//! `moloc-runtime`.
 
 use crate::render::{SensorTrace, TraceRenderer};
 use crate::trajectory::Trajectory;
@@ -15,6 +16,7 @@ use moloc_stats::sampling::derive_seed;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 
 /// Corpus generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,11 +68,22 @@ impl TraceCorpus {
     /// Generates the corpus: traces round-robin across `users`, each an
     /// independent seeded random walk rendered against `env`.
     ///
+    /// Trace `i` draws everything from its own stream,
+    /// `derive_seed(config.seed, i)`, in two phases. On the calling
+    /// thread, in trace order, each stream draws its walk, and the trace
+    /// gets a [`TraceRenderer::shell`] holding every buffer it keeps.
+    /// Then the traces are rendered on the `moloc-runtime` pool, each
+    /// continuing its own stream into its own shell. The corpus is
+    /// therefore the same at every pool width and shard size, and pool
+    /// workers allocate none of it. With one worker the traces render
+    /// inline, in order.
+    ///
     /// # Panics
     ///
     /// Panics if `users` is empty, `train_traces > total_traces`, or a
     /// generated walk is too short to form a trajectory (a disconnected
-    /// graph).
+    /// graph). A panic while rendering is rethrown on the calling thread
+    /// once the pool has drained the job.
     pub fn generate(
         env: &RadioEnvironment,
         grid: &ReferenceGrid,
@@ -85,15 +98,39 @@ impl TraceCorpus {
         );
         let renderer = TraceRenderer::default();
         let mean_scans = env.mean_scans(grid);
-        let mut traces = Vec::with_capacity(config.total_traces);
-        for i in 0..config.total_traces {
-            let user = &users[i % users.len()];
-            let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, i as u64));
-            let path = random_walk(graph, config.segments_per_trace, &mut rng);
-            let trajectory = Trajectory::from_path(&path, grid, user)
-                .expect("random walks on a connected graph have >= 2 nodes");
-            traces.push(renderer.render(&trajectory, user, env, &mean_scans, &mut rng));
-        }
+        let ap_count = env.aps().len();
+        let user = |i: usize| &users[i % users.len()];
+        let jobs: Vec<Mutex<RenderJob>> = (0..config.total_traces)
+            .map(|i| {
+                let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, i as u64));
+                let path = random_walk(graph, config.segments_per_trace, &mut rng);
+                let trajectory = Trajectory::from_path(&path, grid, user(i))
+                    .expect("random walks on a connected graph have >= 2 nodes");
+                let trace = renderer.shell(&trajectory, user(i), ap_count);
+                Mutex::new(RenderJob {
+                    trajectory,
+                    rng,
+                    trace,
+                })
+            })
+            .collect();
+        moloc_runtime::par_run(jobs.len(), |i| {
+            let mut job = jobs[i].lock().expect("each trace is rendered by one item");
+            let RenderJob {
+                trajectory,
+                rng,
+                trace,
+            } = &mut *job;
+            renderer.render_into(trajectory, user(i), env, &mean_scans, rng, trace);
+        });
+        let mut traces: Vec<SensorTrace> = jobs
+            .into_iter()
+            .map(|job| {
+                job.into_inner()
+                    .expect("a render that panicked was rethrown by par_run")
+                    .trace
+            })
+            .collect();
         let test = traces.split_off(config.train_traces);
         Self {
             train: traces,
@@ -115,6 +152,14 @@ impl TraceCorpus {
     pub fn iter(&self) -> impl Iterator<Item = &SensorTrace> {
         self.train.iter().chain(self.test.iter())
     }
+}
+
+/// One trace between the two phases of [`TraceCorpus::generate`]: its
+/// walk, its stream after the walk, and the shell it renders into.
+struct RenderJob {
+    trajectory: Trajectory,
+    rng: StdRng,
+    trace: SensorTrace,
 }
 
 #[cfg(test)]
@@ -198,6 +243,53 @@ mod tests {
         let a = TraceCorpus::generate(&env, &grid, &graph, &paper_users(), CorpusConfig::small(5));
         let b = TraceCorpus::generate(&env, &grid, &graph, &paper_users(), CorpusConfig::small(5));
         assert_eq!(a, b);
+    }
+
+    /// The message `generate` panics with at pool width `width`.
+    fn panic_message_at_width(width: usize, graph: &WalkGraph, users: &[UserProfile]) -> String {
+        let (env, grid, _) = world();
+        moloc_runtime::set_worker_override(Some(width));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            TraceCorpus::generate(&env, &grid, graph, users, CorpusConfig::small(4))
+        }));
+        moloc_runtime::set_worker_override(None);
+        let payload = result.expect_err("generation must panic");
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .expect("string panic payload")
+    }
+
+    #[test]
+    fn panics_surface_alike_at_every_width_and_the_pool_survives() {
+        // A walk that starts on an isolated node is too short to time.
+        let (_, grid, full) = world();
+        let isolated = grid.ids().last().unwrap();
+        let mut graph = WalkGraph::with_nodes(full.node_count());
+        for (a, b, length) in full.edges() {
+            if a != isolated && b != isolated {
+                graph.add_edge(a, b, length);
+            }
+        }
+        // A profile that fails validation panics while rendering, which
+        // at width 2 happens on the pool.
+        let mut invalid = paper_users();
+        invalid.iter_mut().for_each(|u| u.weight_kg = 0.0);
+        for (graph, users, expected) in [
+            (
+                &graph,
+                paper_users(),
+                "random walks on a connected graph have >= 2 nodes",
+            ),
+            (&full, invalid, "weight must be positive"),
+        ] {
+            let [serial, pooled] = [1, 2].map(|width| panic_message_at_width(width, graph, &users));
+            assert!(serial.contains(expected), "{serial}");
+            assert_eq!(pooled, serial);
+            let doubled = moloc_runtime::par_run(64, |i| i * 2);
+            assert_eq!(doubled, (0..64).map(|i| i * 2).collect::<Vec<_>>());
+        }
     }
 
     #[test]

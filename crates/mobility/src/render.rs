@@ -142,7 +142,7 @@ impl Default for TraceRenderer {
 }
 
 impl TraceRenderer {
-    /// Renders one trace.
+    /// Renders one trace: [`Self::shell`] then [`Self::render_into`].
     ///
     /// The user walks the whole trajectory at constant cadence, so the
     /// accelerometer is one continuous gait signal; compass readings
@@ -167,59 +167,135 @@ impl TraceRenderer {
         mean_scans: &[RssScan],
         rng: &mut R,
     ) -> SensorTrace {
-        assert!(self.sample_rate_hz > 0.0, "sample rate must be positive");
+        let mut trace = self.shell(trajectory, user, env.aps().len());
+        self.render_into(trajectory, user, env, mean_scans, rng, &mut trace);
+        trace
+    }
+
+    /// An unrendered trace of `trajectory` that owns every buffer the
+    /// rendered trace keeps: its passes, accelerometer, compass and gyro
+    /// streams with room for the trajectory's samples, and one scan per
+    /// pass with room for `ap_count` readings. The streams and scans are
+    /// empty until [`Self::render_into`] fills them.
+    ///
+    /// A corpus allocates its shells on the calling thread and lets pool
+    /// workers only fill them: buffers a worker allocated would outlive
+    /// the job in that worker's malloc arena and raise peak memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample rate is not positive.
+    pub fn shell(
+        &self,
+        trajectory: &Trajectory,
+        user: &UserProfile,
+        ap_count: usize,
+    ) -> SensorTrace {
+        let n = self.sample_count(trajectory);
+        let series = || {
+            TimeSeries::new(0.0, self.sample_rate_hz, Vec::with_capacity(n))
+                .expect("positive sample rate")
+        };
+        SensorTrace {
+            user: *user,
+            passes: trajectory.passes().to_vec(),
+            accel: series(),
+            compass: series(),
+            gyro: series(),
+            scans: trajectory
+                .passes()
+                .iter()
+                .map(|_| Vec::with_capacity(ap_count))
+                .collect(),
+            memo: IntervalMemo::default(),
+        }
+    }
+
+    /// Renders one trace into `trace`, reusing its buffers: afterwards
+    /// `trace` equals what [`Self::render`] returns for the same
+    /// arguments and `rng` state, whatever it held before. Nothing is
+    /// allocated for the trace when its buffers are as large as
+    /// [`Self::shell`] makes them.
+    ///
+    /// `rng` is drawn in a fixed order: every accelerometer sample, then
+    /// every compass reading, every gyro reading, and the scans pass by
+    /// pass.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::render`].
+    pub fn render_into<R: Rng + ?Sized>(
+        &self,
+        trajectory: &Trajectory,
+        user: &UserProfile,
+        env: &RadioEnvironment,
+        mean_scans: &[RssScan],
+        rng: &mut R,
+        trace: &mut SensorTrace,
+    ) {
+        let n = self.sample_count(trajectory);
         user.validate();
-        let duration = trajectory.duration();
-        let (accel, _) = user.gait().synthesize_segment(
-            duration,
+        trace.memo.clear();
+        trace.user = *user;
+        trace.passes.clear();
+        trace.passes.extend_from_slice(trajectory.passes());
+        user.gait().synthesize_segment_into(
+            trajectory.duration(),
             user.step_period_s(),
             0.0,
             self.sample_rate_hz,
             rng,
+            &mut trace.accel,
         );
 
-        let compass_model = user.compass();
-        let n = accel.len();
+        // The true headings are staged in the gyro buffer: the compass
+        // reads them, then the gyro model turns them into rates in place.
         let dt = 1.0 / self.sample_rate_hz;
         let mut headings = trajectory.heading_cursor();
         let mut last_heading = 0.0;
-        let mut true_headings = Vec::with_capacity(n);
-        let compass_values: Vec<f64> = (0..n)
-            .map(|i| {
-                let t = i as f64 * dt;
-                if let Some(h) = headings.advance_to(t) {
-                    last_heading = h;
-                }
-                true_headings.push(last_heading);
-                compass_model.read(last_heading, rng)
-            })
-            .collect();
-        let compass = TimeSeries::new(0.0, self.sample_rate_hz, compass_values)
+        trace
+            .gyro
+            .assign(
+                0.0,
+                self.sample_rate_hz,
+                (0..n).map(|i| {
+                    if let Some(h) = headings.advance_to(i as f64 * dt) {
+                        last_heading = h;
+                    }
+                    last_heading
+                }),
+            )
             .expect("positive sample rate");
-        let truth_series =
-            TimeSeries::new(0.0, self.sample_rate_hz, true_headings).expect("positive sample rate");
-        let gyro = self.gyro_model.synthesize(&truth_series, rng);
+        let compass_model = user.compass();
+        trace
+            .compass
+            .assign(
+                0.0,
+                self.sample_rate_hz,
+                trace
+                    .gyro
+                    .values()
+                    .iter()
+                    .map(|&h| compass_model.read(h, rng)),
+            )
+            .expect("positive sample rate");
+        self.gyro_model.synthesize_in_place(&mut trace.gyro, rng);
 
-        let scans = trajectory
-            .passes()
-            .iter()
-            .map(|p| {
-                env.scan_about(&mean_scans[p.location.index()], rng)
-                    .into_iter()
-                    .map(f64::from)
-                    .collect()
-            })
-            .collect();
-
-        SensorTrace {
-            user: *user,
-            passes: trajectory.passes().to_vec(),
-            accel,
-            compass,
-            gyro,
-            scans,
-            memo: IntervalMemo::default(),
+        trace.scans.resize_with(trajectory.passes().len(), Vec::new);
+        for (scan, pass) in trace.scans.iter_mut().zip(trajectory.passes()) {
+            scan.clear();
+            scan.extend(
+                env.scan_about_iter(&mean_scans[pass.location.index()], rng)
+                    .map(f64::from),
+            );
         }
+    }
+
+    /// Samples per stream for `trajectory`: its duration at the sample
+    /// rate, rounded.
+    fn sample_count(&self, trajectory: &Trajectory) -> usize {
+        assert!(self.sample_rate_hz > 0.0, "sample rate must be positive");
+        (trajectory.duration() * self.sample_rate_hz).round() as usize
     }
 }
 
@@ -306,6 +382,101 @@ mod tests {
         let p0 = grid.position(l(1));
         assert_eq!(trace.passes[0].position, p0);
         assert!(trace.scans[0][0] > trace.scans[0][1]);
+    }
+
+    /// Data pointer and capacity of every buffer a trace keeps.
+    fn buffers(trace: &SensorTrace) -> Vec<(usize, usize)> {
+        [trace.accel(), trace.compass(), &trace.gyro]
+            .iter()
+            .map(|s| (s.values().as_ptr() as usize, s.capacity()))
+            .chain(
+                trace
+                    .scans
+                    .iter()
+                    .map(|s| (s.as_ptr() as usize, s.capacity())),
+            )
+            .chain([(trace.passes.as_ptr() as usize, trace.passes.capacity())])
+            .collect()
+    }
+
+    /// Every number of a trace, as bits, in a fixed order.
+    fn bits(trace: &SensorTrace) -> Vec<u64> {
+        let mut out = vec![u64::from(trace.user.id)];
+        for series in [trace.accel(), trace.compass(), &trace.gyro] {
+            out.push(series.len() as u64);
+            out.extend(series.values().iter().map(|v| v.to_bits()));
+        }
+        for (pass, scan) in trace.passes.iter().zip(&trace.scans) {
+            out.extend([pass.time.to_bits(), u64::from(pass.location.get())]);
+            out.push(scan.len() as u64);
+            out.extend(scan.iter().map(|v| v.to_bits()));
+        }
+        out
+    }
+
+    #[test]
+    fn render_into_fills_the_callers_buffers_and_matches_render() {
+        let (env, grid) = world();
+        let mean_scans = env.mean_scans(&grid);
+        let user = paper_users()[2];
+        let traj = Trajectory::from_path(&[l(1), l(2), l(5), l(4)], &grid, &user).unwrap();
+        let renderer = TraceRenderer::default();
+        let mut trace = renderer.shell(&traj, &user, env.aps().len());
+        assert!(trace.accel().is_empty() && trace.scans.iter().all(Vec::is_empty));
+        let before = buffers(&trace);
+        let mut rng = StdRng::seed_from_u64(11);
+        renderer.render_into(&traj, &user, &env, &mean_scans, &mut rng, &mut trace);
+        // Filled in place: no buffer moved or grew, so a pool worker
+        // that renders into a caller's shell allocates none of them.
+        assert_eq!(buffers(&trace), before);
+        assert!(!trace.accel().is_empty() && trace.accel().len() == trace.accel().capacity());
+        assert_eq!(trace.scans.len(), traj.passes().len());
+        assert!(trace.scans.iter().all(|s| s.len() == env.aps().len()));
+
+        let mut rendered_rng = StdRng::seed_from_u64(11);
+        let rendered = renderer.render(&traj, &user, &env, &mean_scans, &mut rendered_rng);
+        assert_eq!(bits(&trace), bits(&rendered));
+        assert_eq!(trace, rendered);
+        // Both leave the stream at the same point.
+        assert_eq!(rng.gen::<u64>(), rendered_rng.gen::<u64>());
+    }
+
+    #[test]
+    fn render_into_overwrites_a_trace_of_another_walk() {
+        let (env, grid) = world();
+        let mean_scans = env.mean_scans(&grid);
+        let user = paper_users()[0];
+        let long = Trajectory::from_path(&[l(1), l(2), l(5), l(4), l(1)], &grid, &user).unwrap();
+        let short = Trajectory::from_path(&[l(2), l(5)], &grid, &user).unwrap();
+        let renderer = TraceRenderer::default();
+        let mut trace = renderer.render(
+            &long,
+            &paper_users()[3],
+            &env,
+            &mean_scans,
+            &mut StdRng::seed_from_u64(1),
+        );
+        let _ = trace.intervals(&StepDetector::default());
+        renderer.render_into(
+            &short,
+            &user,
+            &env,
+            &mean_scans,
+            &mut StdRng::seed_from_u64(2),
+            &mut trace,
+        );
+        let expected = renderer.render(
+            &short,
+            &user,
+            &env,
+            &mean_scans,
+            &mut StdRng::seed_from_u64(2),
+        );
+        assert_eq!(bits(&trace), bits(&expected));
+        assert_eq!(
+            *trace.intervals(&StepDetector::default()),
+            *crate::intervals::measure_intervals(&expected, &StepDetector::default())
+        );
     }
 
     #[test]

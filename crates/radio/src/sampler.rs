@@ -134,10 +134,26 @@ impl RadioEnvironment {
     ///
     /// Panics if `mean` does not have one entry per AP.
     pub fn scan_about<R: Rng + ?Sized>(&self, mean: &[Dbm], rng: &mut R) -> RssScan {
+        self.scan_about_iter(mean, rng).collect()
+    }
+
+    /// [`Self::scan_about`] as an iterator, one reading per AP, for
+    /// callers that store the scan in a buffer of their own: each
+    /// reading's noise is drawn from `rng` as the iterator reaches it.
+    ///
+    /// # Panics
+    ///
+    /// Panics (on the call, not on iteration) if `mean` does not have
+    /// one entry per AP.
+    pub fn scan_about_iter<'a, R: Rng + ?Sized>(
+        &'a self,
+        mean: &'a [Dbm],
+        rng: &'a mut R,
+    ) -> impl Iterator<Item = Dbm> + 'a {
         assert_eq!(mean.len(), self.aps.len(), "mean scan length != AP count");
-        mean.iter()
-            .map(|&m| (m + normal(rng, 0.0, self.temporal_sigma_db)).clamp_floor(self.noise_floor))
-            .collect()
+        mean.iter().map(move |&m| {
+            (m + normal(rng, 0.0, self.temporal_sigma_db)).clamp_floor(self.noise_floor)
+        })
     }
 
     /// An environment restricted to the first `n` APs — the paper's

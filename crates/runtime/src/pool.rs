@@ -1,12 +1,12 @@
-//! The persistent work-stealing evaluation runtime.
+//! The persistent work-stealing worker pool.
 //!
-//! The PR 1 pool spawned fresh OS threads for every [`crate::parallel`]
-//! call, pulled one item at a time off a shared atomic counter, and
-//! merged results through a `Mutex<Vec>`. Thread spawn/join dominated
-//! small fan-outs, the single-item pulls put the counter's cache line
-//! on every worker's hot path, and the merge serialized the tail of
-//! every job. This module replaces all of it with one process-wide
-//! pool:
+//! The first pool spawned fresh OS threads for every parallel call,
+//! pulled one item at a time off a shared atomic counter, and merged
+//! results through a `Mutex<Vec>`. Thread spawn/join dominated small
+//! fan-outs, the single-item pulls put the counter's cache line on
+//! every worker's hot path, and the merge serialized the tail of every
+//! job. This module replaces all of it with one process-wide pool,
+//! driven by the fan-out primitives at the [crate root](crate):
 //!
 //! * **Persistent workers** — spawned lazily on first use (up to the
 //!   job's worker count, capped at [`MAX_POOL_WORKERS`]) and parked on
@@ -39,8 +39,8 @@
 //! is a pure function of its index, lands in slot `i`, and the output
 //! vector is read in index order after the job completes, so output is
 //! byte-identical to `(0..n).map(f).collect()` for every worker count,
-//! chunk size, and steal schedule (`tests/determinism.rs` and the
-//! in-module tests lock this in).
+//! chunk size, and steal schedule (`crates/eval/tests/determinism.rs`
+//! and the in-module tests lock this in).
 //!
 //! # Nesting
 //!
@@ -50,7 +50,8 @@
 //! top-level job holds the pool, runs inline in the caller — same
 //! results, sequential execution — rather than deadlocking on its own
 //! workers. The outermost fan-out therefore owns the hardware, which is
-//! the right allocation for every workload in this crate.
+//! the right allocation for every workload in the workspace: a world
+//! built inside a per-seed job renders its traces inline.
 
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;

@@ -75,19 +75,51 @@ impl GaitSynthesizer {
         sample_rate_hz: f64,
         rng: &mut R,
     ) -> (TimeSeries, f64) {
+        let mut series = TimeSeries::default();
+        let phase = self.synthesize_segment_into(
+            duration_s,
+            step_period_s,
+            phase0,
+            sample_rate_hz,
+            rng,
+            &mut series,
+        );
+        (series, phase)
+    }
+
+    /// [`Self::synthesize_segment`] into `out`, reusing its buffer: the
+    /// segment's `round(duration_s × sample_rate_hz)` samples replace
+    /// `out`'s contents, and nothing is allocated when `out` already
+    /// has that capacity. Returns the phase at the end of the segment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the duration is negative or period/rate are not
+    /// positive.
+    pub fn synthesize_segment_into<R: Rng + ?Sized>(
+        &self,
+        duration_s: f64,
+        step_period_s: f64,
+        phase0: f64,
+        sample_rate_hz: f64,
+        rng: &mut R,
+        out: &mut TimeSeries,
+    ) -> f64 {
         assert!(duration_s >= 0.0, "duration must be non-negative");
         assert!(step_period_s > 0.0, "step period must be positive");
         assert!(sample_rate_hz > 0.0, "sample rate must be positive");
         let n = (duration_s * sample_rate_hz).round() as usize;
         let dt = 1.0 / sample_rate_hz;
-        let values: Vec<f64> = (0..n)
-            .map(|i| {
+        out.assign(
+            0.0,
+            sample_rate_hz,
+            (0..n).map(|i| {
                 let phase = phase0 + i as f64 * dt / step_period_s;
                 self.noise.apply_value(self.magnitude_at_phase(phase), rng)
-            })
-            .collect();
-        let series = TimeSeries::new(0.0, sample_rate_hz, values).expect("positive rate");
-        (series, phase0 + duration_s / step_period_s)
+            }),
+        )
+        .expect("positive rate");
+        phase0 + duration_s / step_period_s
     }
 
     /// Synthesizes exactly `n_steps` steps with the given period — the
@@ -186,6 +218,26 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let s = GaitSynthesizer::default().synthesize_walk(7, 0.6, 20.0, &mut rng);
         assert!((s.duration() - 4.2).abs() < 0.051);
+    }
+
+    #[test]
+    fn segment_into_reuses_the_buffer_and_matches_the_allocating_form() {
+        let g = GaitSynthesizer::default();
+        let (expected, phase) =
+            g.synthesize_segment(3.0, 0.5, 0.25, 10.0, &mut StdRng::seed_from_u64(6));
+        let mut out = TimeSeries::new(5.0, 1.0, Vec::with_capacity(30)).unwrap();
+        let data = out.values().as_ptr();
+        let phase_into = g.synthesize_segment_into(
+            3.0,
+            0.5,
+            0.25,
+            10.0,
+            &mut StdRng::seed_from_u64(6),
+            &mut out,
+        );
+        assert_eq!(out, expected);
+        assert_eq!(phase_into.to_bits(), phase.to_bits());
+        assert_eq!(out.values().as_ptr(), data, "the buffer was reallocated");
     }
 
     #[test]

@@ -67,21 +67,28 @@ impl GyroSynthesizer {
         true_headings: &TimeSeries,
         rng: &mut R,
     ) -> TimeSeries {
-        let dt = true_headings.dt();
+        let mut rates = true_headings.clone();
+        self.synthesize_in_place(&mut rates, rng);
+        rates
+    }
+
+    /// [`Self::synthesize`] in the caller's buffer: `series` holds the
+    /// true headings on entry and the turn-rate readings on return, with
+    /// the same start time and rate. Nothing is allocated, so a renderer
+    /// can stage the true headings in the buffer the readings will keep.
+    pub fn synthesize_in_place<R: Rng + ?Sized>(&self, series: &mut TimeSeries, rng: &mut R) {
+        let dt = series.dt();
         let noise = NoiseModel::new(self.bias_deg_s, self.noise_sigma_deg_s);
-        let v = true_headings.values();
-        let rates: Vec<f64> = (0..v.len())
-            .map(|i| {
-                let true_rate = if i == 0 {
-                    0.0
-                } else {
-                    signed_diff_deg(v[i - 1], v[i]) / dt
-                };
-                noise.apply_value(true_rate, rng)
-            })
-            .collect();
-        TimeSeries::new(true_headings.t0(), true_headings.sample_rate_hz(), rates)
-            .expect("rate unchanged")
+        let mut previous = None;
+        for value in series.values_mut() {
+            let heading = *value;
+            let true_rate = match previous {
+                None => 0.0,
+                Some(previous) => signed_diff_deg(previous, heading) / dt,
+            };
+            previous = Some(heading);
+            *value = noise.apply_value(true_rate, rng);
+        }
     }
 }
 
@@ -159,6 +166,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let rates = GyroSynthesizer::ideal().synthesize(&truth, &mut rng);
         assert!((rates.values()[1] - 200.0).abs() < 1e-9); // 20° / 0.1 s
+    }
+
+    #[test]
+    fn in_place_synthesis_matches_the_allocating_form() {
+        let truth = turning_truth();
+        let gyro = GyroSynthesizer::new(0.4, 0.5);
+        let expected = gyro.synthesize(&truth, &mut StdRng::seed_from_u64(4));
+        let mut series = truth.clone();
+        let data = series.values().as_ptr();
+        gyro.synthesize_in_place(&mut series, &mut StdRng::seed_from_u64(4));
+        assert_eq!(series, expected);
+        assert_eq!(series.values().as_ptr(), data);
     }
 
     #[test]

@@ -96,6 +96,16 @@ impl TimeSeries {
         &self.values
     }
 
+    /// Mutable sample values (the length is fixed).
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
+    /// Samples the buffer holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.values.capacity()
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.values.len()

@@ -25,6 +25,7 @@
 //! | [`live`] | `moloc-live` | dynamic crowdsourced database updates: epoch snapshots, atomic publication, live localizers |
 //! | [`verify`] | `moloc-verify` | differential oracles (naive Eq. 4–7, exhaustive k-NN, checkpoint framing) and zero-cost runtime invariant checks |
 //! | [`obs`] | `moloc-obs` | zero-dependency metrics: counters, histograms, timing spans, snapshots |
+//! | [`runtime`] | `moloc-runtime` | the persistent work-stealing worker pool and its order-preserving parallel maps |
 //! | [`eval`] | `moloc-eval` | the simulated office-hall testbed and every paper experiment |
 //!
 //! # Quickstart
@@ -82,6 +83,7 @@ pub use moloc_mobility as mobility;
 pub use moloc_motion as motion;
 pub use moloc_obs as obs;
 pub use moloc_radio as radio;
+pub use moloc_runtime as runtime;
 pub use moloc_sensors as sensors;
 pub use moloc_session as session;
 pub use moloc_stats as stats;
