@@ -1,4 +1,4 @@
-//! Fig. 1 bench: the twin-disambiguation kernel — one tracker step
+//! Fig. 1 bench: the twin-disambiguation kernel — one engine step
 //! fusing fingerprint candidates with motion evidence.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -46,21 +46,21 @@ fn bench_twins(c: &mut Criterion) {
     });
 
     // Demonstrate the disambiguation once.
-    let mut t = system.tracker();
+    let mut t = system.batch_localizer();
     t.observe(&unique, None).unwrap();
     let got = t.observe(&twin, east).unwrap();
     println!("\n=== Fig. 1 kernel === twins resolved to {got} via eastward motion");
 
-    c.bench_function("fig1/tracker_two_step_disambiguation", |b| {
+    c.bench_function("fig1/engine_two_step_disambiguation", |b| {
         b.iter(|| {
-            let mut t = system.tracker();
+            let mut t = system.batch_localizer();
             t.observe(black_box(&unique), None).unwrap();
             black_box(t.observe(black_box(&twin), east).unwrap())
         })
     });
-    c.bench_function("fig1/tracker_fingerprint_only_step", |b| {
+    c.bench_function("fig1/engine_fingerprint_only_step", |b| {
         b.iter(|| {
-            let mut t = system.tracker();
+            let mut t = system.batch_localizer();
             black_box(t.observe(black_box(&unique), None).unwrap())
         })
     });

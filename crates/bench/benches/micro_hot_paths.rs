@@ -1,39 +1,29 @@
 //! Microbenchmarks of the pipeline's hot paths: fingerprint matching,
 //! motion matching, RSS scanning, shortest paths.
 //!
-//! The hot-path benchmarks come in pairs — the production path against
-//! the path it replaced. PR 1 pairs: precomputed [`MotionKernel`]
-//! lookup tables vs per-call `Gaussian::new`/`erf` evaluation, plus a
+//! Each arm measures a production path: the columnar
+//! [`FingerprintIndex`] k-NN, the zero-allocation [`BatchLocalizer`]
+//! over a full trace, Viterbi decoding, trace analysis, and one fig. 7
+//! setting end to end. Three pairs are recorded as comparisons: a
 //! fig. 7 setting localized serially (`MOLOC_THREADS=1`) vs under the
-//! ambient worker pool. PR 2 pairs: the columnar [`FingerprintIndex`]
-//! k-NN vs the generic `dyn` metric scan, the zero-allocation
-//! [`BatchLocalizer`] vs the per-query tracker, the full fig. 7
-//! setting vs a faithful reproduction of the PR 1 serving path, a
-//! cache-fed pipeline run vs one that rebuilds its artifacts, and the
-//! fig. 7 setting end to end (setting + kernel acquisition included)
-//! on the cached PR 2 pipeline vs the rebuild-everything PR 1 path.
-//! PR 4 pair: the batched engine with the metrics recorder disabled vs
-//! enabled, pricing the observability layer on the hottest path. The
-//! final group target writes all measurements and the derived speedups
-//! to `BENCH_pr2.json` at the repository root (PR 1 names are kept
-//! verbatim so `bench_check` can diff the two files).
+//! ambient worker pool, a cache-fed pipeline run vs one that rebuilds
+//! its artifacts, and the batched engine with the metrics recorder
+//! disabled vs enabled, pricing the observability layer on the hottest
+//! path. The final group target writes all measurements and the
+//! derived speedups to `BENCH_pr2.json` at the repository root (arm
+//! names are kept verbatim so `bench_check` can diff it against
+//! `BENCH_pr1.json`; arms present in one file only never gate).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use moloc_bench::{bench_world, light_criterion};
 use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
-use moloc_core::matching::{build_kernel, set_motion_probability, set_motion_probability_kernel};
-use moloc_core::tracker::MoLocTracker;
-use moloc_eval::pipeline::{analyze_trace_exact, EvalWorld, PassOutcome, Setting};
+use moloc_core::matching::build_kernel;
 use moloc_eval::ScenarioCache;
-use moloc_fingerprint::candidates::CandidateSet;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
-use moloc_fingerprint::knn::k_nearest;
-use moloc_fingerprint::metric::Euclidean;
 use moloc_geometry::shortest_path::{all_pairs, dijkstra};
 use moloc_geometry::LocationId;
-use moloc_motion::kernel::MotionKernel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -50,13 +40,9 @@ fn bench_micro(c: &mut Criterion) {
     c.bench_function("micro/rss_scan_6_aps", |b| {
         b.iter(|| black_box(world.hall.env.scan(black_box(pos), &mut rng)))
     });
-    c.bench_function("micro/knn_k8_over_28_locations", |b| {
-        b.iter(|| black_box(k_nearest(&setting.fdb, black_box(&query), 8, &Euclidean)))
-    });
 
-    // The columnar-index k-NN against the generic scan above: same
-    // neighbors, same order, but squared-distance ranking
-    // over contiguous rows into caller-owned buffers (no allocation).
+    // The columnar-index k-NN: squared-distance ranking over contiguous
+    // rows into caller-owned buffers (no allocation).
     let index = FingerprintIndex::build(&setting.fdb);
     let mut scratch = KnnScratch::with_k(8);
     let mut neighbors = Vec::with_capacity(8);
@@ -68,56 +54,7 @@ fn bench_micro(c: &mut Criterion) {
     });
 
     let config = MoLocConfig::paper();
-
-    // Eq. 6 over trained pairs: candidates are the motion-db neighbors
-    // of the best-connected location (plus the location itself, so the
-    // stay-in-place branch is exercised), and the measurement sits at a
-    // trained pair's mean so the Gaussian windows carry real mass.
-    let to = (1..=setting.motion_db.location_count() as u32)
-        .map(LocationId::new)
-        .max_by_key(|&l| setting.motion_db.neighbors_of(l).len())
-        .expect("motion db is non-empty");
-    let mut sources = setting.motion_db.neighbors_of(to);
-    sources.truncate(7);
-    sources.push(to);
-    let prev = CandidateSet::from_weights(
-        sources
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, 1.0 / (i + 1) as f64))
-            .collect(),
-    )
-    .unwrap();
-    let trained = setting
-        .motion_db
-        .get(sources[0], to)
-        .expect("neighbor pair is trained");
-    let (dir, off) = (trained.direction.mean(), trained.offset.mean());
-
-    c.bench_function("micro/eq6_set_motion_probability_naive", |b| {
-        b.iter(|| {
-            black_box(set_motion_probability(
-                &setting.motion_db,
-                black_box(&prev),
-                to,
-                dir,
-                off,
-                &config,
-            ))
-        })
-    });
     let kernel = build_kernel(&setting.motion_db, &config);
-    c.bench_function("micro/eq6_set_motion_probability", |b| {
-        b.iter(|| {
-            black_box(set_motion_probability_kernel(
-                &kernel,
-                black_box(&prev),
-                to,
-                dir,
-                off,
-            ))
-        })
-    });
 
     c.bench_function("micro/dijkstra_28_nodes", |b| {
         b.iter(|| black_box(dijkstra(&world.hall.graph, LocationId::new(1))))
@@ -140,7 +77,7 @@ fn bench_micro(c: &mut Criterion) {
         moloc_eval::pipeline::CountingMethod::Continuous,
         6,
     );
-    let queries: Vec<(Fingerprint, Option<moloc_core::tracker::MotionMeasurement>)> = trace0
+    let queries: Vec<(Fingerprint, Option<moloc_core::MotionMeasurement>)> = trace0
         .scans
         .iter()
         .enumerate()
@@ -157,35 +94,6 @@ fn bench_micro(c: &mut Criterion) {
         moloc_core::viterbi::ViterbiLocalizer::new(&setting.fdb, &setting.motion_db, config);
     c.bench_function("micro/viterbi_decode_full_trace", |b| {
         b.iter(|| black_box(viterbi.localize_trace(black_box(&queries)).unwrap()))
-    });
-
-    // Both tracker variants are constructed once and reset per
-    // iteration, so the comparison isolates the per-observation motion
-    // matching (neither arm pays a kernel build inside the loop).
-    let mut exact_tracker =
-        moloc_core::tracker::MoLocTracker::new(&setting.fdb, &setting.motion_db, config)
-            .with_exact_matching();
-    c.bench_function("micro/moloc_tracker_full_trace_naive", |b| {
-        b.iter(|| {
-            exact_tracker.reset();
-            for (fp, m) in &queries {
-                black_box(exact_tracker.observe(fp, *m).unwrap());
-            }
-        })
-    });
-    let mut kernel_tracker = moloc_core::tracker::MoLocTracker::new_with_kernel(
-        &setting.fdb,
-        &setting.motion_db,
-        config,
-        &kernel,
-    );
-    c.bench_function("micro/moloc_tracker_full_trace", |b| {
-        b.iter(|| {
-            kernel_tracker.reset();
-            for (fp, m) in &queries {
-                black_box(kernel_tracker.observe(fp, *m).unwrap());
-            }
-        })
     });
 
     // The batched engine over the same trace: shared index + kernel,
@@ -261,14 +169,6 @@ fn bench_micro(c: &mut Criterion) {
         })
     });
 
-    // The PR 1 serving path, reproduced faithfully under the same
-    // ambient pool: per-pass NN estimates from the generic dyn-metric
-    // scan and a per-query tracker on the exact k-NN walk (with the
-    // same precomputed-kernel motion matching PR 1 shipped).
-    c.bench_function("eval/localize_moloc_fig7_setting_pr1_path", |b| {
-        b.iter(|| black_box(localize_moloc_pr1_path(&world, &setting, config, &kernel)))
-    });
-
     // The cache-fed pipeline: identical localization work, but the
     // fingerprint index and motion kernel arrive prebuilt (as a
     // `ScenarioCache` hands them to every experiment) instead of being
@@ -281,20 +181,9 @@ fn bench_micro(c: &mut Criterion) {
         })
     });
 
-    // The fig. 7 setting end to end, as the experiments actually
-    // execute it. PR 1's `fig7::run` rebuilt the setting (fingerprint
-    // sanitation + motion-database construction) and the motion kernel
-    // inside every call before localizing; the PR 2 pipeline serves
-    // both from a warm `ScenarioCache` and localizes through the
-    // columnar index and the batched engine. This pair measures the
-    // whole difference a caller observes per experiment run.
-    c.bench_function("eval/fig7_setting_end_to_end_pr1_path", |b| {
-        b.iter(|| {
-            let setting = world.setting(6);
-            let kernel = build_kernel(&setting.motion_db, &config);
-            black_box(localize_moloc_pr1_path(&world, &setting, config, &kernel))
-        })
-    });
+    // The fig. 7 setting end to end, as the experiments execute it:
+    // setting and kernel served from a warm `ScenarioCache`, then
+    // localized through the columnar index and the batched engine.
     let cache = ScenarioCache::new(&world);
     cache.artifacts(6);
     cache.kernel(6, &config);
@@ -313,60 +202,9 @@ fn bench_micro(c: &mut Criterion) {
     });
 }
 
-/// The end-to-end MoLoc localization loop exactly as PR 1 ran it:
-/// exact-scan trace analysis, per-trace tracker sessions on the `dyn`
-/// metric heap path, one fresh candidate set allocated per observation.
-fn localize_moloc_pr1_path(
-    world: &EvalWorld,
-    setting: &Setting,
-    config: MoLocConfig,
-    kernel: &MotionKernel,
-) -> Vec<Vec<PassOutcome>> {
-    let detector = moloc_sensors::steps::StepDetector::default();
-    moloc_eval::parallel::par_run(world.corpus.test.len(), |trace_index| {
-        let trace = &world.corpus.test[trace_index];
-        let analysis = analyze_trace_exact(
-            trace,
-            &setting.fdb,
-            &world.hall,
-            &detector,
-            setting.counting,
-            setting.n_aps,
-        );
-        let mut tracker =
-            MoLocTracker::new_with_kernel(&setting.fdb, &setting.motion_db, config, kernel)
-                .with_exact_scan();
-        trace
-            .passes
-            .iter()
-            .zip(&trace.scans)
-            .enumerate()
-            .map(|(pass_index, (pass, scan))| {
-                let query = Fingerprint::new(scan[..setting.n_aps].to_vec());
-                let motion = if pass_index == 0 {
-                    None
-                } else {
-                    analysis.measurements[pass_index - 1]
-                };
-                let estimate = tracker
-                    .observe(&query, motion)
-                    .expect("query length matches database");
-                PassOutcome {
-                    trace_index,
-                    pass_index,
-                    truth: pass.location,
-                    estimate,
-                    error_m: world.hall.grid.distance(pass.location, estimate),
-                }
-            })
-            .collect()
-    })
-}
-
 /// Final group target: serializes every recorded measurement plus the
-/// derived speedups (kernel vs naive, index vs scan, batch vs
-/// per-query, new pipeline vs PR 1 path, cached vs rebuilt) to
-/// `BENCH_pr2.json` at the repository root.
+/// derived speedups (parallel vs serial, recorder off vs on, cached vs
+/// rebuilt) to `BENCH_pr2.json` at the repository root.
 fn emit_bench_json(c: &mut Criterion) {
     // The parallel arm's speedup is bounded by the worker count, so
     // record it alongside the measurements (a 1-CPU host reports ~1x),
@@ -389,24 +227,8 @@ fn emit_bench_json(c: &mut Criterion) {
     out.push_str("  ],\n  \"comparisons\": [\n");
     let pairs = [
         (
-            "micro/eq6_set_motion_probability",
-            "micro/eq6_set_motion_probability_naive",
-        ),
-        (
-            "micro/moloc_tracker_full_trace",
-            "micro/moloc_tracker_full_trace_naive",
-        ),
-        (
             "eval/localize_moloc_fig7_setting_parallel",
             "eval/localize_moloc_fig7_setting_serial",
-        ),
-        (
-            "micro/knn_k8_index_over_28_locations",
-            "micro/knn_k8_over_28_locations",
-        ),
-        (
-            "micro/batch_localizer_full_trace",
-            "micro/moloc_tracker_full_trace",
         ),
         // Recorder overhead: disabled vs enabled on the same engine
         // (a speedup near 1.0x means metrics are effectively free).
@@ -415,16 +237,8 @@ fn emit_bench_json(c: &mut Criterion) {
             "micro/batch_localizer_full_trace_obs_enabled",
         ),
         (
-            "eval/localize_moloc_fig7_setting_parallel",
-            "eval/localize_moloc_fig7_setting_pr1_path",
-        ),
-        (
             "eval/localize_moloc_fig7_setting_cached",
             "eval/localize_moloc_fig7_setting_parallel",
-        ),
-        (
-            "eval/fig7_setting_end_to_end_cached",
-            "eval/fig7_setting_end_to_end_pr1_path",
         ),
     ];
     for (i, (name, baseline)) in pairs.iter().enumerate() {

@@ -1,22 +1,21 @@
-//! The zero-allocation batched localization engine.
+//! The serving-stage step driver.
 //!
-//! [`crate::tracker::MoLocTracker`] allocates per observation: a fresh
-//! neighbor vector from k-NN, a [`CandidateSet`] for Eq. 4, a weight
-//! vector plus another set for Eq. 7. Fine for one query; wasteful for
-//! trace-driven evaluation and the "millions of users" serving target,
-//! where the same small buffers are needed over and over.
+//! [`BatchLocalizer`] runs the paper's Sec. V recursion, one query at a
+//! time: the `k` nearest fingerprints (Eq. 3), their inverse-
+//! dissimilarity probabilities (Eq. 4), the Eq. 6 motion evidence from
+//! the retained posterior and the Eq. 7 reweighting; the top candidate
+//! is the estimate and the posterior is kept for the next step. It is
+//! the only implementation of that recursion outside the naive
+//! reference, `moloc_verify::oracle::posterior_step`, which the
+//! `eq4.candidates`/`eq7.*` suites of `moloc-audit` and the digest test
+//! in `crates/eval/tests/determinism.rs` compare it against.
 //!
-//! [`BatchLocalizer`] owns every per-step buffer — the k-NN selection
-//! heap, the neighbor list, the candidate and posterior tables — and
-//! reuses them across observations: after the first observation warms
-//! the buffers up, a full trace of localization steps performs **zero
-//! heap allocations** (asserted by `tests/zero_alloc.rs` with a
-//! counting allocator).
-//!
-//! The arithmetic replicates the tracker's kernel path exactly — same
-//! expressions, same iteration order, same tie-breaks — so estimates
-//! are bit-identical to `MoLocTracker::observe` with the Euclidean
-//! metric (proven by the digest test in `crates/eval/tests/`).
+//! The engine owns every per-step buffer — the k-NN selection heap,
+//! the neighbor list, the candidate and posterior tables — and reuses
+//! them across observations: after the first observation warms the
+//! buffers up, a full trace of localization steps performs **zero heap
+//! allocations** (asserted by `tests/zero_alloc.rs` with a counting
+//! allocator).
 
 use crate::config::MoLocConfig;
 use crate::error::DegradationFlags;
@@ -31,9 +30,6 @@ use moloc_motion::kernel::MotionKernel;
 use moloc_motion::matrix::MotionDb;
 use std::cmp::Ordering;
 use std::sync::Arc;
-
-#[cfg(doc)]
-use moloc_fingerprint::candidates::CandidateSet;
 
 /// A resource the engine either owns, borrows from a caller who shares
 /// it across engines (one build per setting, not per trace), or holds
@@ -188,8 +184,7 @@ impl BatchLocalizer<'static> {
 impl<'a> BatchLocalizer<'a> {
     /// An engine over caller-shared artifacts: the index and kernel are
     /// built once per `(fingerprint db, motion db, config)` and shared
-    /// across the per-trace engines, exactly like
-    /// `MoLocTracker::new_with_kernel`. The kernel must have been built
+    /// across the per-trace engines. The kernel must have been built
     /// from the same motion database and config (see [`build_kernel`]).
     ///
     /// # Panics
@@ -296,8 +291,13 @@ impl<'a> BatchLocalizer<'a> {
         self.last_flags
     }
 
-    /// Processes one localization query; same contract as
-    /// `MoLocTracker::observe`.
+    /// Processes one localization query.
+    ///
+    /// `motion` is the RLM measured since the previous observation;
+    /// pass `None` for the first query of a session (or whenever the
+    /// motion pipeline could not produce a measurement — the step then
+    /// behaves like plain fingerprinting, as the paper's initial
+    /// localization does).
     ///
     /// # Errors
     ///
@@ -392,8 +392,8 @@ impl<'a> BatchLocalizer<'a> {
     /// and the posterior buffer swap. Inputs are the neighbor buffer
     /// and the k-NN degradation flags, both set by the caller.
     fn posterior_step(&mut self, motion: Option<MotionMeasurement>) -> LocationId {
-        // Eq. 4 into the reusable candidate table — the same arithmetic
-        // as `CandidateSet::from_neighbors`, including the exact-match
+        // Eq. 4 into the reusable candidate table — the arithmetic of
+        // `oracle::candidate_probabilities`, including the exact-match
         // branch and the iterator summation order.
         self.buf.current.clear();
         let exact = self
@@ -440,8 +440,8 @@ impl<'a> BatchLocalizer<'a> {
             }
         }
 
-        // Eq. 7 when both history and motion exist — mirrors
-        // `evaluate_candidates_kernel` over the retained buffers.
+        // Eq. 7 when both history and motion exist — the arithmetic of
+        // `oracle::fuse_posterior` over the retained buffers.
         let reweighted = match motion {
             Some(m) if self.has_previous => {
                 // Eq. 7 propagation cost: the k x k transition products
@@ -477,7 +477,7 @@ impl<'a> BatchLocalizer<'a> {
                 let total: f64 = self.buf.weights.iter().map(|(_, w)| w).sum();
                 // Degradation rung 1 (fingerprint-only): degenerate or
                 // non-finite totals fall back to the fingerprint-only
-                // distribution, as `evaluate_candidates_kernel` does. A
+                // distribution, as `oracle::fuse_posterior` does. A
                 // NaN total would slip past a plain `<=` floor check
                 // and normalize into a NaN posterior.
                 if total.is_finite() && total > self.config.degenerate_total_floor {
@@ -499,7 +499,7 @@ impl<'a> BatchLocalizer<'a> {
         };
         moloc_verify::check_posterior("core.batch.posterior", posterior.iter().copied());
 
-        // `CandidateSet::top`: highest probability, ties to lower id.
+        // `oracle::top`: highest probability, ties to lower id.
         // `total_cmp` orders identically to `partial_cmp` here (the
         // guards above keep every retained probability finite and
         // non-negative, and no path produces -0.0) without a panicking
@@ -722,7 +722,6 @@ fn record_rung_occupancy(flags: DegradationFlags) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracker::MoLocTracker;
     use moloc_motion::matrix::PairStats;
     use moloc_stats::gaussian::Gaussian;
 
@@ -734,8 +733,8 @@ mod tests {
         Fingerprint::new(v.to_vec())
     }
 
-    /// The tracker module's twin world: L1/L3 fingerprint twins on an
-    /// eastward corridor through L2.
+    /// Three locations in a row, 4 m apart going east; L1 and L3 are
+    /// fingerprint twins, L2 is distinctive.
     fn world() -> (FingerprintDb, MotionDb) {
         let fdb = FingerprintDb::from_fingerprints(vec![
             (l(1), fp(&[-50.0, -50.0])),
@@ -777,16 +776,113 @@ mod tests {
     }
 
     #[test]
-    fn matches_tracker_estimates() {
+    fn posteriors_and_estimates_match_the_oracle() {
         let (fdb, mdb) = world();
         let config = MoLocConfig::default();
-        let mut tracker = MoLocTracker::new(&fdb, &mdb, config);
+        let kernel = build_kernel(&mdb, &config);
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, config);
+        let mut previous: Vec<(LocationId, f64)> = Vec::new();
+        for (q, m) in &queries() {
+            let estimate = engine.observe(q, *m).unwrap();
+            let history = if m.is_some() { &previous[..] } else { &[] };
+            let (d, o) = m.map_or((0.0, 0.0), |m| (m.direction_deg, m.offset_m));
+            previous = moloc_verify::oracle::posterior_step(
+                fdb.iter().map(|(id, f)| (id, f.values())),
+                q.values(),
+                config.k,
+                history,
+                |from, to| kernel.pair_probability(from, to, d, o),
+                config.degenerate_total_floor,
+            );
+            assert_eq!(engine.posterior(), previous.as_slice());
+            assert_eq!(Some(estimate), moloc_verify::oracle::top(&previous));
+        }
+    }
+
+    #[test]
+    fn first_observation_is_fingerprint_only() {
+        let (fdb, mdb) = world();
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
+        assert_eq!(engine.observe(&fp(&[-41.0, -69.0]), None).unwrap(), l(2));
+        assert!(!engine.posterior().is_empty());
+    }
+
+    #[test]
+    fn motion_resolves_twins_either_way() {
+        let (fdb, mdb) = world();
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
+        // Start confidently at L2, then walk east 4 m: the twin query
+        // must resolve to L3 even though L1 matches it equally well.
+        engine.observe(&fp(&[-40.0, -70.0]), None).unwrap();
+        let east = Some(MotionMeasurement {
+            direction_deg: 91.0,
+            offset_m: 4.1,
+        });
+        assert_eq!(engine.observe(&fp(&[-50.0, -50.05]), east).unwrap(), l(3));
+        let p3 = engine.posterior().iter().find(|(id, _)| *id == l(3));
+        assert!(
+            p3.is_some_and(|&(_, p)| p > 0.9),
+            "{:?}",
+            engine.posterior()
+        );
+        // Walking west from L2 instead picks the other twin.
+        engine.reset();
+        engine.observe(&fp(&[-40.0, -70.0]), None).unwrap();
+        let west = Some(MotionMeasurement {
+            direction_deg: 270.0,
+            offset_m: 4.0,
+        });
+        assert_eq!(engine.observe(&fp(&[-50.0, -50.05]), west).unwrap(), l(1));
+    }
+
+    #[test]
+    fn missing_motion_degrades_to_fingerprinting() {
+        let (fdb, mdb) = world();
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
+        engine.observe(&fp(&[-40.0, -70.0]), None).unwrap();
+        // No motion info: the exact match to L1 wins on fingerprints.
+        assert_eq!(engine.observe(&fp(&[-50.0, -50.0]), None).unwrap(), l(1));
+    }
+
+    #[test]
+    fn localize_trace_matches_stepwise_observe() {
+        let (fdb, mdb) = world();
+        let config = MoLocConfig::default();
+        let mut stepwise = BatchLocalizer::new(&fdb, &mdb, config);
         let expected: Vec<LocationId> = queries()
             .iter()
-            .map(|(q, m)| tracker.observe(q, *m).unwrap())
+            .map(|(q, m)| stepwise.observe(q, *m).unwrap())
             .collect();
-        let mut engine = BatchLocalizer::new(&fdb, &mdb, config);
-        assert_eq!(engine.localize_trace(&queries()).unwrap(), expected);
+        let mut batched = BatchLocalizer::new(&fdb, &mdb, config);
+        assert_eq!(batched.localize_trace(&queries()).unwrap(), expected);
+        assert_eq!(batched.posterior(), stepwise.posterior());
+    }
+
+    #[test]
+    fn localize_trace_surfaces_mid_trace_errors_in_order() {
+        let (fdb, mdb) = world();
+        let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
+        let mut out = Vec::new();
+        let err = engine
+            .localize_trace_into(
+                &[
+                    (fp(&[-40.0, -70.0]), None),
+                    (fp(&[-40.0]), None),
+                    (fp(&[-50.0, -50.0]), None),
+                ],
+                &mut out,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TrackError::QueryLength {
+                expected: 2,
+                found: 1
+            }
+        );
+        // Step 0 was processed before the error hit.
+        assert_eq!(out, vec![l(2)]);
+        assert!(!engine.posterior().is_empty());
     }
 
     #[test]
@@ -801,21 +897,6 @@ mod tests {
             owned.localize_trace(&queries()).unwrap(),
             shared.localize_trace(&queries()).unwrap()
         );
-    }
-
-    #[test]
-    fn posterior_matches_tracker_candidates() {
-        let (fdb, mdb) = world();
-        let config = MoLocConfig::default();
-        let mut tracker = MoLocTracker::new(&fdb, &mdb, config);
-        let mut engine = BatchLocalizer::new(&fdb, &mdb, config);
-        assert!(engine.posterior().is_empty());
-        for (q, m) in &queries() {
-            tracker.observe(q, *m).unwrap();
-            engine.observe(q, *m).unwrap();
-            let tracked: Vec<(LocationId, f64)> = tracker.candidates().unwrap().iter().collect();
-            assert_eq!(engine.posterior(), tracked.as_slice());
-        }
     }
 
     #[test]
@@ -915,7 +996,7 @@ mod tests {
     }
 
     #[test]
-    fn error_contract_matches_tracker() {
+    fn malformed_queries_and_measurements_are_typed_errors() {
         let (fdb, mdb) = world();
         let mut engine = BatchLocalizer::new(&fdb, &mdb, MoLocConfig::default());
         assert_eq!(

@@ -2,12 +2,12 @@
 //!
 //! [`MoLoc`] bundles the fingerprint database, motion database, and
 //! configuration into one deployable unit — the thing a venue operator
-//! would ship — and hands out per-session [`MoLocTracker`]s.
+//! would ship — and hands out per-session [`BatchLocalizer`]s.
 
 use crate::batch::BatchLocalizer;
 use crate::config::MoLocConfig;
 use crate::matching::build_kernel;
-use crate::tracker::{MoLocTracker, MotionMeasurement, TrackError};
+use crate::tracker::{MotionMeasurement, TrackError};
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::FingerprintIndex;
@@ -18,9 +18,8 @@ use moloc_motion::matrix::MotionDb;
 /// A deployed MoLoc system.
 ///
 /// Construction precomputes the two serving artifacts — the columnar
-/// [`FingerprintIndex`] and the [`MotionKernel`] — once; every tracker
-/// and batch engine handed out shares them instead of rebuilding per
-/// session.
+/// [`FingerprintIndex`] and the [`MotionKernel`] — once; every engine
+/// handed out shares them instead of rebuilding per session.
 ///
 /// # Examples
 ///
@@ -103,18 +102,6 @@ impl MoLoc {
         &self.kernel
     }
 
-    /// A fresh per-session tracker sharing the prebuilt kernel and
-    /// index (no per-session artifact builds).
-    pub fn tracker(&self) -> MoLocTracker<'_> {
-        MoLocTracker::new_with_kernel(
-            &self.fingerprint_db,
-            &self.motion_db,
-            self.config,
-            &self.kernel,
-        )
-        .with_shared_index(&self.index)
-    }
-
     /// A fresh per-session batch engine sharing the prebuilt kernel
     /// and index; its scratch buffers make repeated observations
     /// allocation-free.
@@ -195,18 +182,16 @@ mod tests {
     }
 
     #[test]
-    fn trackers_are_independent_sessions() {
+    fn engines_are_independent_sessions() {
         let moloc = system();
-        let mut a = moloc.tracker();
-        let mut b = moloc.tracker();
-        a.observe(&fp(&[-41.0, -69.0]), None).unwrap();
-        assert!(a.candidates().is_some());
-        assert!(b.candidates().is_none());
-        b.observe(&fp(&[-69.0, -41.0]), None).unwrap();
-        assert_ne!(
-            a.candidates().unwrap().top().location,
-            b.candidates().unwrap().top().location
-        );
+        let mut a = moloc.batch_localizer();
+        let mut b = moloc.batch_localizer();
+        let first = a.observe(&fp(&[-41.0, -69.0]), None).unwrap();
+        assert!(!a.posterior().is_empty());
+        assert!(b.posterior().is_empty());
+        let second = b.observe(&fp(&[-69.0, -41.0]), None).unwrap();
+        assert_ne!(first, second);
+        assert_eq!(a.posterior()[0].0, first);
     }
 
     #[test]

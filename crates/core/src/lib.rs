@@ -11,17 +11,19 @@
 //! * [`error`] — the typed [`error::MolocError`] hierarchy and the
 //!   [`error::DegradationFlags`] surfaced when serving paths fall back
 //!   (masked k-NN, fingerprint-only prior, candidate reset).
-//! * [`env`] — strict parsing for `MOLOC_*` environment knobs:
-//!   malformed values are typed [`error::MolocError::InvalidConfig`]
-//!   errors carrying the offending string, never silent fallbacks.
-//! * [`matching`] — motion matching (Eq. 5: `P_{i,j}(d, o) =
-//!   D_{i,j}(d)·O_{i,j}(o)`) and its extension over candidate sets
-//!   (Eq. 6).
-//! * [`evaluate`] — the posterior candidate evaluation (Eq. 7).
-//! * [`tracker`] — [`tracker::MoLocTracker`], the stateful localizer
-//!   that retains the candidate set between queries.
-//! * [`batch`] — [`batch::BatchLocalizer`], the trace-oriented engine
-//!   with reusable scratch buffers (zero allocations after warm-up).
+//! * [`env`](mod@env) — strict parsing for the `MOLOC_CHECKPOINT_FSYNC`
+//!   toggle: a malformed value is a typed
+//!   [`error::MolocError::InvalidConfig`] error carrying the offending
+//!   string, never a silent fallback.
+//! * [`matching`] — motion matching (Eq. 5, `P_{i,j}(d, o) =
+//!   D_{i,j}(d)·O_{i,j}(o)`): the [`matching::build_kernel`] lookup
+//!   tables.
+//! * [`tracker`] — [`tracker::MotionMeasurement`], the RLM measured
+//!   between two queries, and the step error type.
+//! * [`batch`] — [`batch::BatchLocalizer`], the one Eq. 3–7 step
+//!   driver: k-NN candidates (Eq. 3/4), Eq. 6 propagation and the
+//!   Eq. 7 posterior retained between queries, with reusable scratch
+//!   buffers (zero allocations after warm-up).
 //! * [`engine`] — [`engine::MoLoc`], the owning facade bundling the
 //!   fingerprint database, motion database, and configuration.
 //! * [`viterbi`] — an offline HMM comparator over the same databases
@@ -53,14 +55,16 @@
 //! });
 //!
 //! let moloc = MoLoc::builder(fdb, mdb).build();
-//! let mut tracker = moloc.tracker();
-//! let first = tracker.observe(&Fingerprint::new(vec![-41.0, -59.0]), None)?;
+//! let mut engine = moloc.batch_localizer();
+//! let first = engine.observe(&Fingerprint::new(vec![-41.0, -59.0]), None)?;
 //! assert_eq!(first, LocationId::new(1));
-//! let second = tracker.observe(
+//! let second = engine.observe(
 //!     &Fingerprint::new(vec![-59.0, -41.0]),
 //!     Some(MotionMeasurement { direction_deg: 88.0, offset_m: 5.1 }),
 //! )?;
 //! assert_eq!(second, LocationId::new(2));
+//! // The retained Eq. 7 posterior feeds the next step.
+//! assert_eq!(engine.posterior().len(), 2);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -69,7 +73,6 @@ pub mod config;
 pub mod engine;
 pub mod env;
 pub mod error;
-pub mod evaluate;
 pub mod matching;
 pub mod particle;
 pub mod tracker;
@@ -79,4 +82,4 @@ pub use batch::BatchLocalizer;
 pub use config::MoLocConfig;
 pub use engine::MoLoc;
 pub use error::{DegradationFlags, MolocError};
-pub use tracker::{MoLocTracker, MotionMeasurement};
+pub use tracker::MotionMeasurement;

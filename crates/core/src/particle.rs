@@ -27,7 +27,6 @@ use crate::tracker::MotionMeasurement;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::FingerprintIndex;
-use moloc_fingerprint::metric::{Dissimilarity, Euclidean};
 use moloc_geometry::{LocationId, ReferenceGrid, Vec2};
 use moloc_motion::kernel::MotionKernel;
 use moloc_stats::sampling::normal;
@@ -97,13 +96,11 @@ pub struct ParticleLocalizer<'a> {
     fdb: &'a FingerprintDb,
     grid: &'a ReferenceGrid,
     config: ParticleConfig,
-    metric: Euclidean,
     particles: Vec<Particle>,
     rng: StdRng,
     kernel: Option<&'a MotionKernel>,
-    /// Columnar scan for the per-particle emission weights; `None`
-    /// falls back to the per-fingerprint metric lookup.
-    index: Option<FingerprintIndex>,
+    /// Columnar scan for the per-particle emission weights.
+    index: FingerprintIndex,
     /// Per-observation distance table: `emission_table[row]` is the
     /// query's dissimilarity to the index's `row`-th fingerprint,
     /// computed once per observation so the emission reweighting loop
@@ -124,20 +121,12 @@ impl<'a> ParticleLocalizer<'a> {
             fdb,
             grid,
             config,
-            metric: Euclidean,
             particles: Vec::new(),
             rng: StdRng::seed_from_u64(config.seed),
             kernel: None,
-            index: Some(FingerprintIndex::build(fdb)),
+            index: FingerprintIndex::build(fdb),
             emission_table: Vec::new(),
         }
-    }
-
-    /// Disables the columnar index: emission weights come from the
-    /// per-fingerprint metric lookup (the pre-index reference path).
-    pub fn with_exact_emissions(mut self) -> Self {
-        self.index = None;
-        self
     }
 
     /// Adds crowdsourced motion evidence: on every motion update, each
@@ -166,32 +155,22 @@ impl<'a> ParticleLocalizer<'a> {
         }
     }
 
-    /// Ranks the query against every index row once per observation:
-    /// each row's value equals the per-row kernel evaluation the old
-    /// per-particle path performed, so the table lookup is bit-exact.
+    /// Ranks the query against every index row once per observation, so
+    /// the per-particle reweighting below is a table lookup.
     fn precompute_emissions(&mut self, query: &Fingerprint) {
-        if let Some(index) = &self.index {
-            index.rank_all_into(query.values(), &mut self.emission_table);
-        }
+        self.index
+            .rank_all_into(query.values(), &mut self.emission_table);
     }
 
-    fn emission_weight(&self, query: &Fingerprint, position: Vec2) -> f64 {
+    fn emission_weight(&self, position: Vec2) -> f64 {
         // Inverse-square dissimilarity against the nearest surveyed
         // location, softened by the distance to it so positions between
         // reference points are not over-penalized.
         let nearest = self.grid.nearest(position);
-        let m = if let Some(index) = &self.index {
-            let Some(row) = index.position_of(nearest) else {
-                return 1e-12;
-            };
-            self.emission_table[row]
-        } else {
-            let Some(fp) = self.fdb.fingerprint(nearest) else {
-                return 1e-12;
-            };
-            self.metric.dissimilarity(query, fp)
+        let Some(row) = self.index.position_of(nearest) else {
+            return 1e-12;
         };
-        let m = m.max(0.1);
+        let m = self.emission_table[row].max(0.1);
         1.0 / (m * m)
     }
 
@@ -212,7 +191,7 @@ impl<'a> ParticleLocalizer<'a> {
                 normal(&mut self.rng, base.x, jitter),
                 normal(&mut self.rng, base.y, jitter),
             );
-            let weight = self.emission_weight(query, position);
+            let weight = self.emission_weight(position);
             particles.push(Particle { position, weight });
         }
         self.particles = particles;
@@ -301,7 +280,7 @@ impl<'a> ParticleLocalizer<'a> {
         // Emission reweighting off the per-observation distance table.
         self.precompute_emissions(query);
         for i in 0..self.particles.len() {
-            let w = self.emission_weight(query, self.particles[i].position);
+            let w = self.emission_weight(self.particles[i].position);
             self.particles[i].weight *= w;
         }
         self.normalize();
@@ -415,25 +394,6 @@ mod tests {
         pf.observe(&fp(&[-40.0, -70.0]), None);
         let est = pf.observe(&fp(&[-50.0, -50.05]), east(4.0));
         assert_eq!(est, l(3), "kernel evidence agrees with the walk east");
-    }
-
-    #[test]
-    fn indexed_emissions_match_exact_path() {
-        // The columnar emission weights are bit-identical to the
-        // per-fingerprint metric path, and neither consumes RNG, so the
-        // whole particle evolution must coincide.
-        let (fdb, grid) = world();
-        let run = |exact: bool| {
-            let mut pf = ParticleLocalizer::new(&fdb, &grid, ParticleConfig::default());
-            if exact {
-                pf = pf.with_exact_emissions();
-            }
-            let a = pf.observe(&fp(&[-40.0, -70.0]), None);
-            let b = pf.observe(&fp(&[-50.0, -50.05]), east(4.0));
-            let c = pf.observe(&fp(&[-41.0, -69.0]), east(4.0));
-            (a, b, c, pf.effective_sample_size())
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * emissions — the fingerprint evidence of Eq. 4 extended to every
 //!   location;
 //! * transitions — the motion matching of Eq. 5 (with the same
-//!   missing-pair and stationary conventions as the tracker).
+//!   missing-pair and stationary conventions as MoLoc).
 //!
-//! Unlike [`crate::tracker::MoLocTracker`], Viterbi decodes a whole
+//! Unlike [`crate::batch::BatchLocalizer`], Viterbi decodes a whole
 //! trace at once (it needs the full observation sequence) and its cost
 //! per step is `O(n²)` in the number of locations versus MoLoc's
 //! `O(k²)` — the efficiency argument of Sec. V quantified by the
@@ -24,7 +24,6 @@ use crate::tracker::MotionMeasurement;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::FingerprintIndex;
-use moloc_fingerprint::metric::{Dissimilarity, Euclidean};
 use moloc_geometry::LocationId;
 use moloc_motion::kernel::MotionKernel;
 use moloc_motion::matrix::MotionDb;
@@ -65,11 +64,9 @@ impl std::error::Error for ViterbiError {}
 pub struct ViterbiLocalizer<'a> {
     fingerprint_db: &'a FingerprintDb,
     kernel: MotionKernel,
-    metric: &'a dyn Dissimilarity,
     /// Columnar scan for the emission distances (rows in the same id
-    /// order as `fingerprint_db.iter()`); `None` falls back to the
-    /// per-fingerprint metric walk.
-    index: Option<FingerprintIndex>,
+    /// order as `fingerprint_db.iter()`).
+    index: FingerprintIndex,
 }
 
 impl<'a> ViterbiLocalizer<'a> {
@@ -85,27 +82,8 @@ impl<'a> ViterbiLocalizer<'a> {
         Self {
             fingerprint_db,
             kernel,
-            metric: &Euclidean,
-            index: Some(FingerprintIndex::build(fingerprint_db)),
+            index: FingerprintIndex::build(fingerprint_db),
         }
-    }
-
-    /// Disables the columnar index: emission distances come from the
-    /// per-fingerprint metric walk (the pre-index reference path).
-    pub fn with_exact_emissions(mut self) -> Self {
-        self.index = None;
-        self
-    }
-
-    /// Log emission probabilities over all locations for one query on
-    /// the per-fingerprint metric walk (the pre-index reference path).
-    fn log_emissions_exact(&self, query: &Fingerprint) -> Vec<f64> {
-        let distances: Vec<f64> = self
-            .fingerprint_db
-            .iter()
-            .map(|(_, fp)| self.metric.dissimilarity(query, fp))
-            .collect();
-        log_emissions_from_distances(&distances)
     }
 
     /// Decodes the maximum-likelihood location sequence for a trace.
@@ -135,16 +113,12 @@ impl<'a> ViterbiLocalizer<'a> {
         let states: Vec<LocationId> = self.fingerprint_db.locations().collect();
         let n = states.len();
 
-        // The indexed walk is bit-identical to the per-fingerprint one.
         let mut distances = Vec::new();
         let mut all_emissions: Vec<Vec<f64>> = queries
             .iter()
-            .map(|(query, _)| match &self.index {
-                Some(index) => {
-                    index.rank_all_into(query.values(), &mut distances);
-                    log_emissions_from_distances(&distances)
-                }
-                None => self.log_emissions_exact(query),
+            .map(|(query, _)| {
+                self.index.rank_all_into(query.values(), &mut distances);
+                log_emissions_from_distances(&distances)
             })
             .collect();
 
@@ -204,8 +178,7 @@ impl<'a> ViterbiLocalizer<'a> {
 
 /// Eq. 4 weights (1/dissimilarity, exact matches dominating) over one
 /// query's distance row, normalized across the full state space and
-/// floored before the log. Shared by the exact and indexed paths so the
-/// weight→log transform is applied in the exact same operation order.
+/// floored before the log.
 fn log_emissions_from_distances(distances: &[f64]) -> Vec<f64> {
     let weights: Vec<f64> = distances
         .iter()
@@ -314,25 +287,6 @@ mod tests {
                 found: 1
             }
         );
-    }
-
-    #[test]
-    fn indexed_emissions_match_exact_path() {
-        let (fdb, mdb) = world();
-        let queries = vec![
-            (fp(&[-50.0, -50.05]), None),
-            (fp(&[-41.0, -69.0]), east()),
-            (fp(&[-50.0, -50.08]), east()),
-            (fp(&[-40.0, -70.0]), None),
-        ];
-        let indexed = ViterbiLocalizer::new(&fdb, &mdb, MoLocConfig::paper())
-            .localize_trace(&queries)
-            .unwrap();
-        let exact = ViterbiLocalizer::new(&fdb, &mdb, MoLocConfig::paper())
-            .with_exact_emissions()
-            .localize_trace(&queries)
-            .unwrap();
-        assert_eq!(indexed, exact);
     }
 
     #[test]

@@ -12,13 +12,19 @@
 //! * `kernel.pair` / `kernel.stay` — the tabulated-CDF motion kernel
 //!   vs the exact `erf` evaluation (documented accuracy 1e-6; gate at
 //!   2e-6).
-//! * `eq4.candidates` — the engine's inverse-dissimilarity candidate
-//!   probabilities vs the Eq. 4 oracle (1e-12).
-//! * `eq7.exact` / `eq7.kernel` — posterior fusion vs the Eq. 7
-//!   oracle. The kernel arm inherits the per-pair 1e-6 and can have it
-//!   amplified by normalization when the total mass is tiny, so it
-//!   gates at 1e-3 — divergence here means a wrong *decision*, not a
-//!   wrong ulp.
+//! * `eq4.candidates` — `BatchLocalizer`'s first-step posterior vs
+//!   the oracle chain `k_nearest` → `candidate_probabilities` (1e-12;
+//!   exact-match queries at 0).
+//! * `eq7.kernel` / `eq7.exact` — `BatchLocalizer`'s Eq. 7 step from a
+//!   restored posterior (`restore_posterior` + `observe_slice`) vs the
+//!   oracle chain ending in `fuse_posterior`. The kernel arm closes the
+//!   oracle over the engine's own motion kernel and gates at 1e-12 (the
+//!   arithmetic is the same). The exact arm closes it over the `erf`
+//!   Eq. 5 oracle: the kernel's per-pair 1e-6 can be amplified by
+//!   normalization when the total mass is tiny, so it gates at 1e-3 —
+//!   divergence there means a wrong *decision*, not a wrong ulp. Half
+//!   the steps stay in place (same scan, short offset) so the
+//!   stay-in-place diagonal carries the mass.
 //! * `parallel.width` — the work-stealing evaluation runtime at worker
 //!   widths 1 vs 4 (bit-identical estimates required).
 //! * `live.rebuild` — incremental epoch publication vs a from-scratch
@@ -36,13 +42,14 @@
 //! and is expected to exit nonzero — CI runs it negated to prove the
 //! gate can actually fail.
 
+use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
-use moloc_core::evaluate::{evaluate_candidates, evaluate_candidates_kernel};
+use moloc_core::error::DegradationFlags;
 use moloc_core::matching::build_kernel;
+use moloc_core::tracker::MotionMeasurement;
 use moloc_eval::parallel::{par_run, set_worker_override};
 use moloc_eval::pipeline::{analyze_trace_indexed, EvalWorld, Setting};
 use moloc_faults::rng::{hash, unit};
-use moloc_fingerprint::candidates::CandidateSet;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
@@ -520,39 +527,43 @@ fn eq_suites(
     eprintln!("moloc-audit: Eq. 4 / Eq. 7 suites");
     let index = FingerprintIndex::build(&setting.fdb);
     let kernel = build_kernel(&setting.motion_db, config);
-    let mut scratch = KnnScratch::new();
-    let mut out: Vec<Neighbor> = Vec::new();
+    let mut engine = BatchLocalizer::new_with_index(&index, &kernel, *config);
+    let rows = || setting.fdb.iter().map(|(id, fp)| (id, fp.values()));
+    let no_motion = |_: LocationId, _: LocationId| 0.0;
 
-    // Eq. 4: engine candidate probabilities vs the oracle, plus the
-    // synthetic exact-match branch (a query equal to a stored row).
+    // Eq. 4: the engine's first-step posterior (no history) vs the
+    // oracle chain, plus the exact-match branch (a query equal to a
+    // stored row).
     let mut divs = Vec::new();
-    let mut candidate_sets: Vec<CandidateSet> = Vec::new();
+    let mut posteriors = Vec::with_capacity(queries.len());
     for (qi, query) in queries.iter().enumerate() {
-        index.k_nearest_into(query, config.k, &mut scratch, &mut out);
-        let set = CandidateSet::from_neighbors(&out).expect("k >= 1 neighbors");
-        let expected =
-            oracle::candidate_probabilities(&pairs_of(&out)).expect("non-degenerate neighbors");
+        engine.reset();
+        engine
+            .observe_slice(query, None)
+            .expect("audit queries match the database");
+        let expected = oracle::posterior_step(rows(), query, config.k, &[], no_motion, 0.0);
         compare_pairs(
             "eq4.candidates",
             format!("query {qi}"),
             &expected,
-            &set.iter().collect::<Vec<_>>(),
+            engine.posterior(),
             1e-12,
             &mut divs,
         );
-        candidate_sets.push(set);
+        posteriors.push(expected);
     }
     let mut cases = queries.len() as u64;
     if let Some((id, fp)) = setting.fdb.iter().next() {
-        index.k_nearest_into(fp.values(), config.k, &mut scratch, &mut out);
-        let set = CandidateSet::from_neighbors(&out).expect("k >= 1 neighbors");
-        let expected =
-            oracle::candidate_probabilities(&pairs_of(&out)).expect("non-degenerate neighbors");
+        engine.reset();
+        engine
+            .observe_slice(fp.values(), None)
+            .expect("stored rows match the database");
+        let expected = oracle::posterior_step(rows(), fp.values(), config.k, &[], no_motion, 0.0);
         compare_pairs(
             "eq4.candidates",
             format!("exact-match query at {}", id.get()),
             &expected,
-            &set.iter().collect::<Vec<_>>(),
+            engine.posterior(),
             0.0,
             &mut divs,
         );
@@ -560,10 +571,12 @@ fn eq_suites(
     }
     report.finish_suite("eq4.candidates", cases, divs);
 
-    // Eq. 7 exact: database-path fusion vs the oracle with the exact
-    // motion closure.
+    // Eq. 7: restore each oracle posterior into the engine and step it
+    // to the next query with a seeded motion measurement. Odd cases
+    // stay in place — the same scan after a short offset — so the
+    // stay-in-place diagonal carries the motion mass.
     let db = &setting.motion_db;
-    let motion_oracle = |from: LocationId, to: LocationId, d: f64, o: f64| -> f64 {
+    let exact_motion = |from: LocationId, to: LocationId, d: f64, o: f64| -> f64 {
         if from == to {
             return oracle::stationary_probability(
                 o,
@@ -586,45 +599,69 @@ fn eq_suites(
             None => config.missing_pair_prob,
         }
     };
-    let mut divs_exact = Vec::new();
     let mut divs_kernel = Vec::new();
+    let mut divs_exact = Vec::new();
     let mut cases = 0u64;
-    for w in candidate_sets.windows(2) {
-        let (previous, current) = (&w[0], &w[1]);
+    for i in 1..posteriors.len() {
+        let stay = cases % 2 == 1;
+        let previous = &posteriors[i - 1];
+        let query = &queries[if stay { i - 1 } else { i }];
         let direction = 360.0 * unit(hash(seed, 0xD0, cases, 0));
-        let offset = 0.5 + 3.0 * unit(hash(seed, 0xD1, cases, 0));
-        let fused = evaluate_candidates(db, previous, current, direction, offset, config);
-        let expected = oracle::fuse_posterior(
-            &current.iter().collect::<Vec<_>>(),
-            &previous.iter().collect::<Vec<_>>(),
-            |from, to| motion_oracle(from, to, direction, offset),
+        let offset = if stay {
+            0.5 * unit(hash(seed, 0xD1, cases, 0))
+        } else {
+            0.5 + 3.0 * unit(hash(seed, 0xD1, cases, 0))
+        };
+        engine.restore_posterior(previous, DegradationFlags::empty());
+        engine
+            .observe_slice(
+                query,
+                Some(MotionMeasurement {
+                    direction_deg: direction,
+                    offset_m: offset,
+                }),
+            )
+            .expect("audit queries match the database");
+        let case = format!(
+            "step {cases}{} d={direction:.3} o={offset:.3}",
+            if stay { " (stay)" } else { "" }
+        );
+        let expected = oracle::posterior_step(
+            rows(),
+            query,
+            config.k,
+            previous,
+            |from, to| kernel.pair_probability(from, to, direction, offset),
+            config.degenerate_total_floor,
+        );
+        compare_pairs(
+            "eq7.kernel",
+            case.clone(),
+            &expected,
+            engine.posterior(),
+            1e-12,
+            &mut divs_kernel,
+        );
+        let expected = oracle::posterior_step(
+            rows(),
+            query,
+            config.k,
+            previous,
+            |from, to| exact_motion(from, to, direction, offset),
             config.degenerate_total_floor,
         );
         compare_pairs(
             "eq7.exact",
-            format!("step {cases} d={direction:.3} o={offset:.3}"),
+            case,
             &expected,
-            &fused.iter().collect::<Vec<_>>(),
-            1e-9,
-            &mut divs_exact,
-        );
-        // Eq. 7 kernel vs exact: the 1e-6 per-pair kernel error can be
-        // amplified by normalization when the total motion mass is
-        // tiny, so this arm gates at the decision level (1e-3).
-        let fused_kernel =
-            evaluate_candidates_kernel(&kernel, previous, current, direction, offset, config);
-        compare_pairs(
-            "eq7.kernel",
-            format!("step {cases} d={direction:.3} o={offset:.3}"),
-            &fused.iter().collect::<Vec<_>>(),
-            &fused_kernel.iter().collect::<Vec<_>>(),
+            engine.posterior(),
             1e-3,
-            &mut divs_kernel,
+            &mut divs_exact,
         );
         cases += 1;
     }
-    report.finish_suite("eq7.exact", cases, divs_exact);
     report.finish_suite("eq7.kernel", cases, divs_kernel);
+    report.finish_suite("eq7.exact", cases, divs_exact);
 }
 
 // ---------------------------------------------------------------------

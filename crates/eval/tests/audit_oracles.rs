@@ -9,15 +9,16 @@
 //!   scan — the ascending-id tie contract;
 //! * masked queries, including the all-NaN blind scan;
 //! * Eq. 4's exact-match branch with *multiple* zero-dissimilarity
-//!   candidates splitting the mass;
-//! * Eq. 7 fusion against the oracle closure when the motion database
-//!   is empty (every pair at the floor prior);
+//!   candidates splitting the mass, through `BatchLocalizer`;
+//! * `BatchLocalizer`'s Eq. 7 step against the oracle closure when the
+//!   motion database is empty (every pair at the floor prior);
 //! * checkpoint frame byte-identity with the independent oracle
 //!   framer.
 
+use moloc_core::batch::BatchLocalizer;
 use moloc_core::config::MoLocConfig;
-use moloc_core::evaluate::evaluate_candidates;
-use moloc_fingerprint::candidates::CandidateSet;
+use moloc_core::error::DegradationFlags;
+use moloc_core::tracker::MotionMeasurement;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
@@ -116,23 +117,31 @@ fn masked_and_blind_queries_match_the_oracle() {
 #[test]
 fn eq4_exact_match_branch_splits_mass_across_all_twins() {
     let db = tied_db();
-    let index = FingerprintIndex::build(&db);
-    let mut scratch = KnnScratch::new();
-    let mut out = Vec::new();
+    let rows = rows(&db);
+    let config = MoLocConfig {
+        k: 4,
+        ..MoLocConfig::paper()
+    };
+    let mut engine = BatchLocalizer::new(&db, &MotionDb::new(8), config);
     // Query *is* the twin fingerprint: three exact matches in the top-4.
     let query = vec![-50.0, -61.0, -47.5, -72.0, -55.0, -66.0];
-    index.k_nearest_into(&query, 4, &mut scratch, &mut out);
-    let set = CandidateSet::from_neighbors(&out).expect("non-empty");
-    let expected = oracle::candidate_probabilities(&pairs(&out)).expect("non-degenerate");
-    let got: Vec<(LocationId, f64)> = set.iter().collect();
-    assert_eq!(got.len(), expected.len());
-    for (&(gi, gp), &(ei, ep)) in got.iter().zip(&expected) {
-        assert_eq!(gi, ei);
-        assert!((gp - ep).abs() <= 1e-15, "{gi:?}: {gp} vs {ep}");
-    }
+    engine
+        .observe_slice(&query, None)
+        .expect("query matches db");
+    let expected = oracle::posterior_step(
+        rows.iter().map(|(id, r)| (*id, r.as_slice())),
+        &query,
+        config.k,
+        &[],
+        |_, _| 0.0,
+        config.degenerate_total_floor,
+    );
+    let got = engine.posterior();
+    assert_eq!(got, expected.as_slice());
     // The Eq. 4 exact-match branch: all mass split evenly across the
     // three zero-dissimilarity twins, nothing for the inexact tail.
-    for &(id, p) in &got {
+    assert_eq!(got.len(), 4);
+    for &(id, p) in got {
         if [l(2), l(4), l(5)].contains(&id) {
             assert!((p - 1.0 / 3.0).abs() <= 1e-15, "{id:?} got {p}");
         } else {
@@ -143,17 +152,32 @@ fn eq4_exact_match_branch_splits_mass_across_all_twins() {
 
 #[test]
 fn eq7_fusion_matches_oracle_when_motion_is_untrained() {
-    let config = MoLocConfig::paper();
-    let db = MotionDb::new(8);
-    let previous = CandidateSet::from_weights(vec![(l(1), 0.5), (l(2), 0.3), (l(3), 0.2)])
-        .expect("normalizes");
-    let current = CandidateSet::from_weights(vec![(l(2), 0.6), (l(3), 0.25), (l(4), 0.15)])
-        .expect("normalizes");
+    let db = tied_db();
+    let rows = rows(&db);
+    let config = MoLocConfig {
+        k: 3,
+        ..MoLocConfig::paper()
+    };
+    let mut engine = BatchLocalizer::new(&db, &MotionDb::new(8), config);
+    let previous = [(l(1), 0.5), (l(2), 0.3), (l(3), 0.2)];
+    let query = vec![-44.0, -53.0, -64.0, -73.0, -50.0, -59.0];
     let (direction, offset) = (123.0, 1.7);
-    let fused = evaluate_candidates(&db, &previous, &current, direction, offset, &config);
-    let expected = oracle::fuse_posterior(
-        &current.iter().collect::<Vec<_>>(),
-        &previous.iter().collect::<Vec<_>>(),
+    engine.restore_posterior(&previous, DegradationFlags::empty());
+    engine
+        .observe_slice(
+            &query,
+            Some(MotionMeasurement {
+                direction_deg: direction,
+                offset_m: offset,
+            }),
+        )
+        .expect("query matches db");
+    assert!(engine.last_flags().is_empty(), "{}", engine.last_flags());
+    let expected = oracle::posterior_step(
+        rows.iter().map(|(id, r)| (*id, r.as_slice())),
+        &query,
+        config.k,
+        &previous,
         |from, to| {
             if from == to {
                 oracle::stationary_probability(
@@ -169,11 +193,12 @@ fn eq7_fusion_matches_oracle_when_motion_is_untrained() {
         },
         config.degenerate_total_floor,
     );
-    let got: Vec<(LocationId, f64)> = fused.iter().collect();
+    let got = engine.posterior();
     assert_eq!(got.len(), expected.len());
     for (&(gi, gp), &(ei, ep)) in got.iter().zip(&expected) {
         assert_eq!(gi, ei);
-        assert!((gp - ep).abs() <= 1e-12, "{gi:?}: {gp} vs {ep}");
+        // The engine reads the stay mass from its tabulated kernel.
+        assert!((gp - ep).abs() <= 1e-6, "{gi:?}: {gp} vs {ep}");
     }
 }
 

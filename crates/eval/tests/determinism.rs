@@ -14,13 +14,14 @@
 
 use moloc_core::config::MoLocConfig;
 use moloc_core::matching::build_kernel;
-use moloc_core::tracker::MoLocTracker;
 use moloc_eval::parallel::{par_run, set_worker_override, thread_count};
 use moloc_eval::pipeline::{analyze_trace, localize_moloc, localize_wifi, EvalWorld, PassOutcome};
 use moloc_eval::OfficeHall;
+use moloc_geometry::LocationId;
 use moloc_mobility::corpus::{CorpusConfig, TraceCorpus};
 use moloc_mobility::user::paper_users;
 use moloc_sensors::steps::StepDetector;
+use moloc_verify::oracle;
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes the tests that arm the process-global worker override,
@@ -75,7 +76,7 @@ fn localize_wifi_single_trace(
 #[test]
 fn repeated_parallel_moloc_runs_are_identical() {
     // Two runs under the ambient thread count: scheduling differs,
-    // output must not. (The per-trace tracker sessions share only
+    // output must not. (The per-trace engine sessions share only
     // read-only state — databases, kernel — and PassOutcome derives
     // PartialEq over every field, so this is a full bitwise check of
     // estimates and errors.)
@@ -239,13 +240,13 @@ fn outcome_digest() -> String {
 }
 
 #[test]
-fn batch_engine_digest_matches_exact_scan_tracker() {
-    // The pipeline now runs each trace through the zero-allocation
+fn batch_engine_digest_matches_the_oracle_chain() {
+    // The pipeline runs each trace through the zero-allocation
     // `BatchLocalizer` over the columnar `FingerprintIndex`. The
-    // reference arm below is the pre-index path: a serial, per-query
-    // `MoLocTracker` forced onto the exact `dyn Dissimilarity` scan.
-    // Identical digests prove the optimized engine is bit-identical,
-    // not merely statistically equivalent.
+    // reference arm below is the naive oracle step — exhaustive sorted
+    // k-NN, Eq. 4, Eq. 7 fusion with the kernel as the motion closure —
+    // run serially per query. Identical digests prove the optimized
+    // engine is bit-identical, not merely statistically equivalent.
     let world = EvalWorld::small(2013);
     let setting = world.setting(6);
     let config = MoLocConfig::paper();
@@ -264,26 +265,31 @@ fn batch_engine_digest_matches_exact_scan_tracker() {
                 setting.counting,
                 setting.n_aps,
             );
-            let mut tracker =
-                MoLocTracker::new_with_kernel(&setting.fdb, &setting.motion_db, config, &kernel)
-                    .with_exact_scan();
+            let mut posterior: Vec<(LocationId, f64)> = Vec::new();
             trace
                 .passes
                 .iter()
                 .zip(&trace.scans)
                 .enumerate()
                 .map(|(pass_index, (pass, scan))| {
-                    let query = moloc_fingerprint::fingerprint::Fingerprint::new(
-                        scan[..setting.n_aps].to_vec(),
-                    );
                     let motion = if pass_index == 0 {
                         None
                     } else {
                         analysis.measurements[pass_index - 1]
                     };
-                    let estimate = tracker
-                        .observe(&query, motion)
-                        .expect("query length matches database");
+                    let (history, d, o) = match motion {
+                        Some(m) => (&posterior[..], m.direction_deg, m.offset_m),
+                        None => (&[][..], 0.0, 0.0),
+                    };
+                    posterior = oracle::posterior_step(
+                        setting.fdb.iter().map(|(id, fp)| (id, fp.values())),
+                        &scan[..setting.n_aps],
+                        config.k,
+                        history,
+                        |from, to| kernel.pair_probability(from, to, d, o),
+                        config.degenerate_total_floor,
+                    );
+                    let estimate = oracle::top(&posterior).expect("k >= 1 candidates");
                     PassOutcome {
                         trace_index,
                         pass_index,
@@ -299,7 +305,7 @@ fn batch_engine_digest_matches_exact_scan_tracker() {
     assert_eq!(
         digest(&batch),
         digest(&reference),
-        "batched index path diverged from the per-query exact-scan path"
+        "batched index path diverged from the oracle chain"
     );
 }
 

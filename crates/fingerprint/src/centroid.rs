@@ -9,8 +9,7 @@
 
 use crate::db::FingerprintDb;
 use crate::fingerprint::Fingerprint;
-use crate::knn::k_nearest;
-use crate::metric::Euclidean;
+use crate::index::FingerprintIndex;
 use moloc_geometry::{ReferenceGrid, Vec2};
 
 /// Weighted-centroid localizer over the k nearest fingerprints.
@@ -36,10 +35,9 @@ use moloc_geometry::{ReferenceGrid, Vec2};
 /// ```
 #[derive(Debug)]
 pub struct CentroidLocalizer<'a> {
-    db: &'a FingerprintDb,
+    index: FingerprintIndex,
     grid: &'a ReferenceGrid,
     k: usize,
-    metric: Euclidean,
 }
 
 /// Error from [`CentroidLocalizer::localize`]: query length mismatch.
@@ -72,10 +70,9 @@ impl<'a> CentroidLocalizer<'a> {
     pub fn new(db: &'a FingerprintDb, grid: &'a ReferenceGrid, k: usize) -> Self {
         assert!(k >= 1, "k must be at least 1");
         Self {
-            db,
+            index: FingerprintIndex::build(db),
             grid,
             k,
-            metric: Euclidean,
         }
     }
 
@@ -86,13 +83,13 @@ impl<'a> CentroidLocalizer<'a> {
     /// Returns [`CentroidError`] when the query's AP count mismatches
     /// the database.
     pub fn localize(&self, query: &Fingerprint) -> Result<Vec2, CentroidError> {
-        if query.len() != self.db.ap_count() {
+        if query.len() != self.index.ap_count() {
             return Err(CentroidError {
-                expected: self.db.ap_count(),
+                expected: self.index.ap_count(),
                 found: query.len(),
             });
         }
-        let neighbors = k_nearest(self.db, query, self.k, &self.metric);
+        let neighbors = self.index.k_nearest(query, self.k);
         // An exact match pins the estimate.
         if let Some(exact) = neighbors.iter().find(|n| n.dissimilarity <= f64::EPSILON) {
             return Ok(self.grid.position(exact.location));

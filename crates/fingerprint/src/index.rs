@@ -1,18 +1,17 @@
 //! A columnar (structure-of-arrays) fingerprint index.
 //!
 //! [`FingerprintDb`] stores one heap-allocated [`Fingerprint`] per
-//! location, so a k-NN scan chases a pointer per candidate and pays a
-//! virtual `dyn Dissimilarity` call plus a square root per comparison.
+//! location, so a scan over it chases a pointer per candidate.
 //! [`FingerprintIndex`] flattens the database once into a dense
 //! row-major `locations × APs` matrix and ranks candidates on
-//! *squared* Euclidean distance — the square root is deferred to the
-//! k survivors.
+//! *squared* Euclidean distance (Eq. 1) — the square root is deferred
+//! to the k survivors. It is the workspace's one k-NN path (Eq. 3).
 //!
-//! Ranking on squared Euclidean distance reproduces the legacy
-//! [`crate::knn::k_nearest`] ordering exactly: the squared sum is
-//! accumulated in the same slice order as [`crate::metric::Euclidean`]
-//! (see [`crate::metric::euclidean_sq`]), `sqrt` is monotone, and ties
-//! break by lower location id in both paths.
+//! Ranking on squared Euclidean distance reproduces the exhaustive
+//! reference `moloc_verify::oracle::k_nearest` exactly: the squared sum
+//! is accumulated in slice order (see [`crate::metric::euclidean_sq`]),
+//! `sqrt` is monotone, and ties break by lower location id in both
+//! paths.
 
 use crate::db::FingerprintDb;
 use crate::fingerprint::Fingerprint;
@@ -230,9 +229,8 @@ impl FingerprintIndex {
     /// (cleared first). With a warm `scratch` and `out`, the scan
     /// performs zero heap allocations.
     ///
-    /// Matches [`crate::knn::k_nearest`] output exactly under
-    /// [`crate::metric::Euclidean`] (see the module docs for why the
-    /// squared ranking preserves order).
+    /// Matches `moloc_verify::oracle::k_nearest` exactly (see the
+    /// module docs for why the squared ranking preserves order).
     ///
     /// Selection keeps the best `k` candidates in an unsorted slot
     /// table with a cached worst rank: rows are visited in ascending
@@ -244,7 +242,7 @@ impl FingerprintIndex {
     /// # Panics
     ///
     /// Panics if `k` is zero, the query length does not match the
-    /// index's AP count (same contract as [`crate::knn::k_nearest`]),
+    /// index's AP count (same contract as the oracle),
     /// or a NaN rank lands among the retained `k` (ranks must be
     /// finite; a NaN outside the retained set is never selected).
     pub fn k_nearest_into(
@@ -478,8 +476,7 @@ impl FingerprintIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::k_nearest;
-    use crate::metric::{Dissimilarity, Euclidean};
+    use moloc_verify::oracle;
 
     fn l(i: u32) -> LocationId {
         LocationId::new(i)
@@ -506,27 +503,41 @@ mod tests {
         assert_eq!(index.position_of(l(2)), None);
     }
 
-    #[test]
-    fn nearest_matches_k1_legacy_path() {
-        let database = db();
-        let index = FingerprintIndex::build(&database);
-        let q = Fingerprint::new(vec![-48.0, -61.0]);
-        let legacy = k_nearest(&database, &q, 1, &Euclidean)[0].location;
-        assert_eq!(index.nearest(q.values()), legacy);
+    fn oracle_k_nearest(
+        database: &FingerprintDb,
+        q: &Fingerprint,
+        k: usize,
+    ) -> Vec<(LocationId, f64)> {
+        oracle::k_nearest(
+            database.iter().map(|(id, f)| (id, f.values())),
+            q.values(),
+            k,
+        )
     }
 
     #[test]
-    fn k_nearest_matches_legacy_order_and_bits() {
+    fn nearest_matches_the_oracle() {
+        let database = db();
+        let index = FingerprintIndex::build(&database);
+        let q = Fingerprint::new(vec![-48.0, -61.0]);
+        assert_eq!(
+            index.nearest(q.values()),
+            oracle_k_nearest(&database, &q, 1)[0].0
+        );
+    }
+
+    #[test]
+    fn k_nearest_matches_the_oracle_order_and_bits() {
         let database = db();
         let index = FingerprintIndex::build(&database);
         let q = Fingerprint::new(vec![-41.0, -69.0]);
         for k in 1..=4 {
-            let legacy = k_nearest(&database, &q, k, &Euclidean);
+            let expected = oracle_k_nearest(&database, &q, k);
             let fast = index.k_nearest(&q, k);
-            assert_eq!(fast.len(), legacy.len());
-            for (a, b) in fast.iter().zip(&legacy) {
-                assert_eq!(a.location, b.location);
-                assert_eq!(a.dissimilarity.to_bits(), b.dissimilarity.to_bits());
+            assert_eq!(fast.len(), expected.len());
+            for (a, &(id, m)) in fast.iter().zip(&expected) {
+                assert_eq!(a.location, id);
+                assert_eq!(a.dissimilarity.to_bits(), m.to_bits());
             }
         }
     }
@@ -572,7 +583,7 @@ mod tests {
         for (position, (_, fp)) in database.iter().enumerate() {
             assert_eq!(
                 out[position].to_bits(),
-                Euclidean.dissimilarity(&q, fp).to_bits()
+                oracle::euclidean(q.values(), fp.values()).to_bits()
             );
         }
     }

@@ -5,16 +5,16 @@
 //! This crate implements the classic fingerprinting half of MoLoc:
 //!
 //! * [`fingerprint`] — the [`fingerprint::Fingerprint`] RSS vector.
-//! * [`metric`] — dissimilarity functions, including the paper's
-//!   Euclidean metric (Eq. 1) plus Manhattan/cosine alternatives.
+//! * [`metric`] — the paper's Euclidean dissimilarity (Eq. 1) as the
+//!   squared-sum kernels the index scans with.
 //! * [`db`] — the fingerprint database mapping reference locations to
 //!   surveyed fingerprints.
 //! * [`index`] — the columnar [`index::FingerprintIndex`]: a flattened
-//!   structure-of-arrays view of the database for allocation-free
-//!   squared-Euclidean k-NN scans.
-//! * [`knn`] — k-nearest-neighbor retrieval (Eq. 3).
-//! * [`candidates`] — candidate sets with inverse-dissimilarity
-//!   probabilities (Eq. 4).
+//!   structure-of-arrays view of the database and the one k-NN path
+//!   (Eq. 3): allocation-free squared-Euclidean scans, clean and
+//!   masked.
+//! * [`knn`] — the [`knn::Neighbor`] match type. Eq. 4's candidate
+//!   probabilities are computed by `moloc-core`'s `BatchLocalizer`.
 //! * [`nn_localizer`] — the plain WiFi fingerprinting baseline the paper
 //!   compares against (Eq. 2).
 //! * [`centroid`] — the weighted-centroid k-NN refinement (continuous
@@ -40,7 +40,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod candidates;
 pub mod centroid;
 pub mod db;
 pub mod fingerprint;
@@ -50,8 +49,6 @@ pub mod knn;
 pub mod metric;
 pub mod nn_localizer;
 
-pub use candidates::{Candidate, CandidateSet};
 pub use db::FingerprintDb;
 pub use fingerprint::Fingerprint;
 pub use index::{FingerprintIndex, KnnScratch};
-pub use metric::{Dissimilarity, Euclidean};

@@ -7,8 +7,6 @@
 use crate::db::FingerprintDb;
 use crate::fingerprint::Fingerprint;
 use crate::index::FingerprintIndex;
-use crate::knn::k_nearest;
-use crate::metric::{Dissimilarity, Euclidean};
 use moloc_geometry::LocationId;
 use std::borrow::Cow;
 
@@ -33,12 +31,9 @@ use std::borrow::Cow;
 #[derive(Debug)]
 pub struct NnLocalizer<'a> {
     db: &'a FingerprintDb,
-    metric: Box<dyn Dissimilarity>,
-    /// Columnar scan path for the default Euclidean metric — owned, or
-    /// borrowed from a caller who shares one index across localizers;
-    /// custom metrics fall back to the generic `k_nearest` over the
-    /// database.
-    index: Option<Cow<'a, FingerprintIndex>>,
+    /// The columnar scan — owned, or borrowed from a caller who shares
+    /// one index across localizers.
+    index: Cow<'a, FingerprintIndex>,
 }
 
 /// Error from [`NnLocalizer::localize`] when the query length does not
@@ -69,8 +64,7 @@ impl<'a> NnLocalizer<'a> {
     pub fn new(db: &'a FingerprintDb) -> Self {
         Self {
             db,
-            metric: Box::new(Euclidean),
-            index: Some(Cow::Owned(FingerprintIndex::build(db))),
+            index: Cow::Owned(FingerprintIndex::build(db)),
         }
     }
 
@@ -80,17 +74,7 @@ impl<'a> NnLocalizer<'a> {
     pub fn with_index(db: &'a FingerprintDb, index: &'a FingerprintIndex) -> Self {
         Self {
             db,
-            metric: Box::new(Euclidean),
-            index: Some(Cow::Borrowed(index)),
-        }
-    }
-
-    /// Creates a localizer with a custom metric (generic scan path).
-    pub fn with_metric<M: Dissimilarity + 'static>(db: &'a FingerprintDb, metric: M) -> Self {
-        Self {
-            db,
-            metric: Box::new(metric),
-            index: None,
+            index: Cow::Borrowed(index),
         }
     }
 
@@ -120,43 +104,19 @@ impl<'a> NnLocalizer<'a> {
             });
         }
         // Degradation path: a query with missing (non-finite) APs is
-        // ranked on the observed dimensions only, under the masked
-        // Euclidean metric regardless of the configured one —
-        // per-metric masking is undefined, and a NaN entering the
-        // clean paths would poison the ranking (or panic
-        // `Fingerprint::new`). Clean queries never take this branch.
+        // ranked on the observed dimensions only — a NaN entering the
+        // clean scan would poison the ranking. Clean queries never
+        // take this branch.
         if query.iter().any(|v| !v.is_finite()) {
-            return Ok(match &self.index {
-                Some(index) => index.nearest_masked(query),
-                None => nearest_masked_scan(self.db, query),
-            });
+            return Ok(self.index.nearest_masked(query));
         }
-        if let Some(index) = &self.index {
-            return Ok(index.nearest(query));
-        }
-        let query = Fingerprint::new(query.to_vec());
-        Ok(k_nearest(self.db, &query, 1, self.metric.as_ref())[0].location)
+        Ok(self.index.nearest(query))
     }
-}
-
-/// Masked nearest-neighbor walk over the database (the no-index arm of
-/// the degradation path): lowest masked squared distance, ties to the
-/// lower id (iteration is in id order and the compare is strict).
-fn nearest_masked_scan(db: &FingerprintDb, query: &[f64]) -> LocationId {
-    let mut best: Option<(LocationId, f64)> = None;
-    for (id, fp) in db.iter() {
-        let (rank, _) = crate::metric::masked_euclidean_sq(query, fp.values());
-        if best.is_none_or(|(_, b)| rank < b) {
-            best = Some((id, rank));
-        }
-    }
-    best.map(|(id, _)| id).unwrap_or_else(|| LocationId::new(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::Manhattan;
 
     fn l(i: u32) -> LocationId {
         LocationId::new(i)
@@ -203,15 +163,6 @@ mod tests {
             assert_eq!(owned.localize_slice(&query).unwrap(), expected);
         }
         assert!(shared.localize_slice(&[-40.0]).is_err());
-    }
-
-    #[test]
-    fn custom_metric_is_used() {
-        let db = db();
-        let loc = NnLocalizer::with_metric(&db, Manhattan)
-            .localize(&Fingerprint::new(vec![-41.0, -69.0]))
-            .unwrap();
-        assert_eq!(loc, l(1));
     }
 
     #[test]

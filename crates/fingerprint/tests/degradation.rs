@@ -72,9 +72,6 @@ fn nan_query_localizes_on_observed_aps() {
     for localizer in [NnLocalizer::new(&db), NnLocalizer::with_index(&db, &index)] {
         assert_eq!(localizer.localize_slice(&query).unwrap(), l(2));
     }
-    // The custom-metric (no-index) arm degrades the same way.
-    let custom = NnLocalizer::with_metric(&db, moloc_fingerprint::metric::Manhattan);
-    assert_eq!(custom.localize_slice(&query).unwrap(), l(2));
 }
 
 #[test]

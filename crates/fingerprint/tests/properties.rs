@@ -1,12 +1,11 @@
 //! Property-based tests for the fingerprinting engine.
 
-use moloc_fingerprint::candidates::CandidateSet;
 use moloc_fingerprint::db::FingerprintDb;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::index::{FingerprintIndex, KnnScratch};
-use moloc_fingerprint::knn::{k_nearest, Neighbor};
-use moloc_fingerprint::metric::{Cosine, Dissimilarity, Euclidean, Manhattan};
+use moloc_fingerprint::metric::euclidean_sq;
 use moloc_geometry::LocationId;
+use moloc_verify::oracle;
 use proptest::prelude::*;
 
 fn rss() -> impl Strategy<Value = f64> {
@@ -28,26 +27,53 @@ fn coarse_fingerprint(n: usize) -> impl Strategy<Value = Fingerprint> {
     prop::collection::vec(coarse_rss(), n).prop_map(Fingerprint::new)
 }
 
+fn euclidean(a: &Fingerprint, b: &Fingerprint) -> f64 {
+    euclidean_sq(a.values(), b.values()).sqrt()
+}
+
+fn db_of(fps: &[Fingerprint]) -> FingerprintDb {
+    let entries: Vec<(LocationId, Fingerprint)> = fps
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (LocationId::from_index(i), f.clone()))
+        .collect();
+    FingerprintDb::from_fingerprints(entries).unwrap()
+}
+
+/// The exhaustive sorted scan, as `(location, dissimilarity bits)`.
+fn oracle_pairs(db: &FingerprintDb, query: &Fingerprint, k: usize) -> Vec<(LocationId, u64)> {
+    oracle::k_nearest(db.iter().map(|(id, f)| (id, f.values())), query.values(), k)
+        .into_iter()
+        .map(|(id, m)| (id, m.to_bits()))
+        .collect()
+}
+
+fn index_pairs(db: &FingerprintDb, query: &Fingerprint, k: usize) -> Vec<(LocationId, u64)> {
+    let index = FingerprintIndex::build(db);
+    let mut scratch = KnnScratch::with_k(k);
+    let mut fast = Vec::new();
+    index.k_nearest_into(query.values(), k, &mut scratch, &mut fast);
+    fast.iter()
+        .map(|n| (n.location, n.dissimilarity.to_bits()))
+        .collect()
+}
+
 proptest! {
     #[test]
-    fn metrics_are_symmetric_nonnegative_reflexive(
+    fn euclidean_is_symmetric_nonnegative_reflexive(
         a in fingerprint(4), b in fingerprint(4),
     ) {
-        for metric in [&Euclidean as &dyn Dissimilarity, &Manhattan, &Cosine] {
-            let ab = metric.dissimilarity(&a, &b);
-            prop_assert!(ab >= 0.0, "{} negative", metric.name());
-            prop_assert!((ab - metric.dissimilarity(&b, &a)).abs() < 1e-9);
-            prop_assert!(metric.dissimilarity(&a, &a) < 1e-9);
-        }
+        let ab = euclidean(&a, &b);
+        prop_assert!(ab >= 0.0);
+        prop_assert_eq!(ab.to_bits(), euclidean(&b, &a).to_bits());
+        prop_assert_eq!(euclidean(&a, &a), 0.0);
     }
 
     #[test]
     fn euclidean_triangle_inequality(
         a in fingerprint(5), b in fingerprint(5), c in fingerprint(5),
     ) {
-        let ab = Euclidean.dissimilarity(&a, &b);
-        let bc = Euclidean.dissimilarity(&b, &c);
-        let ac = Euclidean.dissimilarity(&a, &c);
+        let (ab, bc, ac) = (euclidean(&a, &b), euclidean(&b, &c), euclidean(&a, &c));
         prop_assert!(ac <= ab + bc + 1e-9);
     }
 
@@ -57,13 +83,8 @@ proptest! {
         query in fingerprint(3),
         k in 1usize..10,
     ) {
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
-        let nn = k_nearest(&db, &query, k, &Euclidean);
+        let db = db_of(&fps);
+        let nn = FingerprintIndex::build(&db).k_nearest(&query, k);
         prop_assert_eq!(nn.len(), k.min(db.len()));
         for w in nn.windows(2) {
             prop_assert!(w[0].dissimilarity <= w[1].dissimilarity + 1e-12);
@@ -71,42 +92,9 @@ proptest! {
         // The top result really is the global minimum.
         let best = fps
             .iter()
-            .map(|f| Euclidean.dissimilarity(&query, f))
+            .map(|f| euclidean(&query, f))
             .fold(f64::INFINITY, f64::min);
         prop_assert!((nn[0].dissimilarity - best).abs() < 1e-12);
-    }
-
-    #[test]
-    fn knn_heap_selection_matches_full_sort_baseline(
-        fps in prop::collection::vec(fingerprint(3), 2..20),
-        query in fingerprint(3),
-        k in 1usize..12,
-    ) {
-        // The bounded-heap selection must return byte-identical results
-        // to the straightforward sort-then-truncate it replaced,
-        // including the (dissimilarity, location-id) tie order.
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
-        let fast = k_nearest(&db, &query, k, &Euclidean);
-        let mut baseline: Vec<Neighbor> = db
-            .iter()
-            .map(|(location, fp)| Neighbor {
-                location,
-                dissimilarity: Euclidean.dissimilarity(&query, fp),
-            })
-            .collect();
-        baseline.sort_by(|a, b| {
-            a.dissimilarity
-                .partial_cmp(&b.dissimilarity)
-                .unwrap()
-                .then_with(|| a.location.cmp(&b.location))
-        });
-        baseline.truncate(k);
-        prop_assert_eq!(fast, baseline);
     }
 
     #[test]
@@ -114,20 +102,14 @@ proptest! {
         fps in prop::collection::vec(fingerprint(3), 3..15),
         query in fingerprint(3),
     ) {
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
-        let k = 2;
-        let nn = k_nearest(&db, &query, k, &Euclidean);
+        let db = db_of(&fps);
+        let nn = FingerprintIndex::build(&db).k_nearest(&query, 2);
         let worst_kept = nn.last().unwrap().dissimilarity;
         for (i, f) in fps.iter().enumerate() {
             let id = LocationId::from_index(i);
             if !nn.iter().any(|n| n.location == id) {
                 prop_assert!(
-                    Euclidean.dissimilarity(&query, f) + 1e-12 >= worst_kept,
+                    euclidean(&query, f) + 1e-12 >= worst_kept,
                     "excluded entry nearer than kept one"
                 );
             }
@@ -135,77 +117,16 @@ proptest! {
     }
 
     #[test]
-    fn candidate_probabilities_normalize_and_order_by_dissimilarity(
-        ms in prop::collection::vec(0.001..100.0f64, 1..10),
-    ) {
-        let neighbors: Vec<Neighbor> = ms
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| Neighbor {
-                location: LocationId::from_index(i),
-                dissimilarity: m,
-            })
-            .collect();
-        let set = CandidateSet::from_neighbors(&neighbors).unwrap();
-        prop_assert!((set.total_probability() - 1.0).abs() < 1e-9);
-        // Smaller dissimilarity ⇒ larger probability (Eq. 4).
-        for i in 0..ms.len() {
-            for j in 0..ms.len() {
-                if ms[i] < ms[j] {
-                    prop_assert!(
-                        set.probability_of(LocationId::from_index(i))
-                            >= set.probability_of(LocationId::from_index(j)) - 1e-12
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn candidate_weights_are_scale_invariant(
-        ws in prop::collection::vec(0.01..10.0f64, 1..8),
-        scale in 0.1..100.0f64,
-    ) {
-        let base: Vec<(LocationId, f64)> = ws
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| (LocationId::from_index(i), w))
-            .collect();
-        let scaled: Vec<(LocationId, f64)> =
-            base.iter().map(|&(id, w)| (id, w * scale)).collect();
-        let a = CandidateSet::from_weights(base).unwrap();
-        let b = CandidateSet::from_weights(scaled).unwrap();
-        for (x, y) in a.iter().zip(b.iter()) {
-            prop_assert_eq!(x.0, y.0);
-            prop_assert!((x.1 - y.1).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn index_knn_is_bit_identical_to_heap_path(
+    fn index_knn_is_bit_identical_to_the_oracle(
         fps in prop::collection::vec(fingerprint(3), 2..25),
         query in fingerprint(3),
         k in 1usize..12,
     ) {
-        // The columnar squared-distance scan must reproduce the legacy
-        // `Euclidean` heap selection exactly: same locations, same
-        // order, bitwise-equal dissimilarities.
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
-        let index = FingerprintIndex::build(&db);
-        let legacy = k_nearest(&db, &query, k, &Euclidean);
-        let mut scratch = KnnScratch::with_k(k);
-        let mut fast = Vec::new();
-        index.k_nearest_into(query.values(), k, &mut scratch, &mut fast);
-        prop_assert_eq!(fast.len(), legacy.len());
-        for (a, b) in fast.iter().zip(&legacy) {
-            prop_assert_eq!(a.location, b.location);
-            prop_assert_eq!(a.dissimilarity.to_bits(), b.dissimilarity.to_bits());
-        }
+        // The columnar squared-distance scan must reproduce the
+        // exhaustive sort-then-truncate reference exactly: same
+        // locations, same order, bitwise-equal dissimilarities.
+        let db = db_of(&fps);
+        prop_assert_eq!(index_pairs(&db, &query, k), oracle_pairs(&db, &query, k));
     }
 
     #[test]
@@ -216,25 +137,12 @@ proptest! {
     ) {
         // Coarse RSS grids make exact dissimilarity ties common, so
         // this run hammers the (rank, location-id) tie-break of the
-        // squared-distance ranking against the legacy sqrt ranking.
-        let entries: Vec<(LocationId, Fingerprint)> = fps
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (LocationId::from_index(i), f.clone()))
-            .collect();
-        let db = FingerprintDb::from_fingerprints(entries).unwrap();
-        let index = FingerprintIndex::build(&db);
-        let legacy = k_nearest(&db, &query, k, &Euclidean);
-        let mut scratch = KnnScratch::with_k(k);
-        let mut fast = Vec::new();
-        index.k_nearest_into(query.values(), k, &mut scratch, &mut fast);
-        let fast_pairs: Vec<(LocationId, u64)> =
-            fast.iter().map(|n| (n.location, n.dissimilarity.to_bits())).collect();
-        let legacy_pairs: Vec<(LocationId, u64)> =
-            legacy.iter().map(|n| (n.location, n.dissimilarity.to_bits())).collect();
-        prop_assert_eq!(fast_pairs, legacy_pairs);
+        // squared-distance ranking against the oracle's sqrt ranking.
+        let db = db_of(&fps);
+        let expected = oracle_pairs(&db, &query, k);
+        prop_assert_eq!(index_pairs(&db, &query, k), expected.clone());
         // And the single-nearest scan agrees with k = 1.
-        prop_assert_eq!(index.nearest(query.values()), legacy[0].location);
+        prop_assert_eq!(FingerprintIndex::build(&db).nearest(query.values()), expected[0].0);
     }
 
     #[test]

@@ -16,12 +16,15 @@
 //!
 //! For every pair and measurement, [`MotionKernel::pair_probability`]
 //! agrees with the exact Gaussian-window computation (the
-//! `pair_motion_probability` path in `moloc-core`) within `1e-6`
-//! absolute: each window mass is a difference of two interpolated CDF
-//! reads (each within `1.3e-7` of the exact CDF), and the
-//! direction/offset masses are both at most 1, so their product
-//! deviates by less than `5e-7`. A property test in `moloc-core`
-//! enforces the bound against randomly generated databases.
+//! `moloc_verify::oracle::pair_probability` reference, evaluated
+//! through the exact `erf`-based CDF) within `1e-6` absolute: each
+//! window mass is a difference of two interpolated CDF reads (each
+//! within `1.3e-7` of the exact CDF), and the direction/offset masses
+//! are both at most 1, so their product deviates by less than `5e-7`.
+//! A property test in `moloc-core`
+//! (`kernel_matches_the_oracle_within_tolerance`) and the
+//! `kernel.pair`/`kernel.stay` suites of `moloc-audit` enforce the
+//! bound against that oracle.
 
 use crate::matrix::MotionDb;
 use moloc_geometry::LocationId;
@@ -242,6 +245,31 @@ mod tests {
         let k = MotionKernel::build(&db(), &config());
         assert_eq!(k.pair_probability(l(1), l(3), 90.0, 5.0), 1e-6);
         assert_eq!(k.pair_probability(l(1), l(9), 90.0, 5.0), 1e-6);
+    }
+
+    #[test]
+    fn wrong_offset_scores_low() {
+        let k = MotionKernel::build(&db(), &config());
+        let right = k.pair_probability(l(1), l(2), 90.0, 5.0);
+        let wrong = k.pair_probability(l(1), l(2), 90.0, 9.0);
+        assert!(wrong < right * 1e-3, "wrong {wrong} vs right {right}");
+    }
+
+    #[test]
+    fn direction_window_handles_wraparound() {
+        let mut db = MotionDb::new(2);
+        db.insert(
+            l(1),
+            l(2),
+            PairStats {
+                direction: Gaussian::new(0.5, 5.0).unwrap(), // nearly north
+                offset: Gaussian::new(5.0, 0.3).unwrap(),
+                sample_count: 5,
+            },
+        );
+        // A measurement at 359.5° is only 1° away across the wrap.
+        let p = MotionKernel::build(&db, &config()).pair_probability(l(1), l(2), 359.5, 5.0);
+        assert!(p > 0.8, "p = {p}");
     }
 
     #[test]

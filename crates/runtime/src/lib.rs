@@ -87,8 +87,15 @@ impl std::error::Error for EnvError {}
 /// Parses an optional variable value as a positive integer (surrounding
 /// whitespace tolerated): `Ok(None)` when unset, an [`EnvError`] for
 /// anything set that is not an integer ≥ 1 — empty, zero, negative or
-/// garbage — never a silent fallback.
-fn parse_positive(var: &'static str, raw: Option<&str>) -> Result<Option<usize>, EnvError> {
+/// garbage — never a silent fallback. The one parser of every
+/// positive-integer `MOLOC_*` knob: the pool's own and
+/// `moloc-session`'s `MOLOC_REORDER_CAPACITY`/`MOLOC_CHECKPOINT_INTERVAL`.
+///
+/// # Errors
+///
+/// Returns an [`EnvError`] naming `var` and carrying `raw` when the
+/// value is set but is not an integer ≥ 1.
+pub fn parse_positive(var: &'static str, raw: Option<&str>) -> Result<Option<usize>, EnvError> {
     match raw {
         None => Ok(None),
         Some(raw) => match raw.trim().parse::<usize>() {
@@ -545,6 +552,21 @@ mod tests {
                 resolve_chunk(Some(bad)),
                 Err(env_error("MOLOC_CHUNK", bad)),
                 "{bad:?} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_positive_names_whichever_variable_it_reads() {
+        assert_eq!(
+            parse_positive("MOLOC_CHECKPOINT_INTERVAL", Some("128")),
+            Ok(Some(128))
+        );
+        assert_eq!(parse_positive("MOLOC_CHECKPOINT_INTERVAL", None), Ok(None));
+        for bad in ["-3", "1e3", "0", ""] {
+            assert_eq!(
+                parse_positive("MOLOC_CHECKPOINT_INTERVAL", Some(bad)),
+                Err(env_error("MOLOC_CHECKPOINT_INTERVAL", bad))
             );
         }
     }

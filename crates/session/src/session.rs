@@ -93,7 +93,8 @@ fn read_raw(field: &'static str) -> Result<Option<String>, MolocError> {
 }
 
 fn read_positive(field: &'static str) -> Result<Option<usize>, MolocError> {
-    moloc_core::env::parse_positive_usize(field, read_raw(field)?.as_deref())
+    moloc_runtime::parse_positive(field, read_raw(field)?.as_deref())
+        .map_err(|e| MolocError::invalid_config_value(e.var, e.raw))
 }
 
 fn read_toggle(field: &'static str) -> Result<Option<bool>, MolocError> {

@@ -62,27 +62,6 @@ where
     }
 }
 
-/// Checks that every candidate weight is finite and non-negative
-/// (pre-normalization Eq. 7 weights). No-op while disabled.
-#[inline]
-pub fn check_weights<I>(check: &'static str, weights: I)
-where
-    I: IntoIterator<Item = (LocationId, f64)>,
-{
-    if !is_enabled() {
-        return;
-    }
-    for (location, w) in weights {
-        if !w.is_finite() || w < 0.0 {
-            violate(
-                check,
-                format!("candidate weight for {location} is {w} (finite, >= 0 required)"),
-            );
-            return;
-        }
-    }
-}
-
 /// Checks a k-NN result's rank contract: dissimilarities ascending,
 /// exact ties broken by strictly ascending location id. No-op while
 /// disabled.

@@ -11,7 +11,9 @@
 //!   paper's math and the workspace's wire formats: Eq. 4 candidate
 //!   probabilities, Eq. 5/6 motion matching through the exact
 //!   `erf`-based CDF, Eq. 7 posterior fusion, exhaustive k-NN with
-//!   the documented tie order, circular mean/std, and the checkpoint
+//!   the documented tie order, the whole Eq. 3–7 localization step
+//!   (`posterior_step`, the reference for `moloc-core`'s
+//!   `BatchLocalizer`), circular mean/std, and the checkpoint
 //!   record framing. Oracles take primitive inputs (slices, id/value
 //!   pairs, Gaussian parameters) so every higher crate can be
 //!   compared against them without a dependency cycle.
@@ -49,7 +51,7 @@ pub mod oracle;
 pub mod report;
 
 pub use invariant::{
-    check_epoch, check_knn_ranks, check_posterior, check_watermark, check_weights, Violation,
+    check_epoch, check_knn_ranks, check_posterior, check_watermark, Violation,
 };
 pub use report::{AuditReport, Divergence, SuiteSummary};
 

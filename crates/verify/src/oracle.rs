@@ -226,6 +226,48 @@ pub fn fuse_posterior(
     weights.into_iter().map(|(id, w)| (id, w / total)).collect()
 }
 
+/// One whole localization step from the oracles above, with the
+/// engine's degradation ladder: [`k_nearest`] (or [`k_nearest_masked`]
+/// when the query holds a non-finite reading), then
+/// [`candidate_probabilities`] (a uniform prior over the neighbors,
+/// history dropped, when Eq. 4 degenerates), then [`fuse_posterior`]
+/// against `previous` — pass an empty `previous` for a step without
+/// history or without a motion measurement.
+pub fn posterior_step<'a, I>(
+    rows: I,
+    query: &[f64],
+    k: usize,
+    previous: &[(LocationId, f64)],
+    motion: impl Fn(LocationId, LocationId) -> f64,
+    degenerate_floor: f64,
+) -> Vec<(LocationId, f64)>
+where
+    I: IntoIterator<Item = (LocationId, &'a [f64])>,
+{
+    let neighbors = if query.iter().all(|v| v.is_finite()) {
+        k_nearest(rows, query, k)
+    } else {
+        k_nearest_masked(rows, query, k).0
+    };
+    let Some(current) = candidate_probabilities(&neighbors) else {
+        let p = 1.0 / neighbors.len() as f64;
+        return neighbors.iter().map(|&(id, _)| (id, p)).collect();
+    };
+    if previous.is_empty() {
+        return current;
+    }
+    fuse_posterior(&current, previous, motion, degenerate_floor)
+}
+
+/// The location estimate of a posterior: the highest probability, ties
+/// to the lower id. `None` for an empty posterior.
+pub fn top(posterior: &[(LocationId, f64)]) -> Option<LocationId> {
+    posterior
+        .iter()
+        .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+        .map(|&(id, _)| id)
+}
+
 // ---------------------------------------------------------------------
 // Circular statistics — two-pass references for the accumulators.
 // ---------------------------------------------------------------------
@@ -440,6 +482,32 @@ mod tests {
         // NaN motion: also the fallback, never a NaN posterior.
         let nan = |_: LocationId, _: LocationId| f64::NAN;
         assert_eq!(fuse_posterior(&current, &previous, nan, 1e-12), current);
+    }
+
+    #[test]
+    fn posterior_step_walks_the_ladder() {
+        let rows: Vec<(LocationId, Vec<f64>)> =
+            vec![(l(1), vec![-40.0, -60.0]), (l(2), vec![-60.0, -40.0])];
+        let rows = || rows.iter().map(|(id, r)| (*id, r.as_slice()));
+        let flat = |_: LocationId, _: LocationId| 1.0;
+        // No history: Eq. 4 alone, the nearer row on top.
+        let first = posterior_step(rows(), &[-41.0, -59.0], 2, &[], flat, 1e-12);
+        assert_eq!(top(&first), Some(l(1)));
+        // History with motion favouring 1 → 2 moves the estimate.
+        let to_two = |from: LocationId, to: LocationId| {
+            if (from, to) == (l(1), l(2)) {
+                0.9
+            } else {
+                1e-6
+            }
+        };
+        let fused = posterior_step(rows(), &[-50.0, -50.0], 2, &first, to_two, 1e-12);
+        assert_eq!(top(&fused), Some(l(2)));
+        // A blind scan is a uniform prior; ties go to the lower id.
+        let blind = posterior_step(rows(), &[f64::NAN, f64::INFINITY], 2, &[], flat, 1e-12);
+        assert_eq!(blind, vec![(l(1), 0.5), (l(2), 0.5)]);
+        assert_eq!(top(&blind), Some(l(1)));
+        assert_eq!(top(&[]), None);
     }
 
     #[test]

@@ -70,8 +70,8 @@ fn main() {
 
     // MoLoc answers online, pass by pass.
     let system = MoLoc::builder(setting.fdb.clone(), setting.motion_db.clone()).build();
-    let mut tracker = system.tracker();
-    let online_first = tracker
+    let mut engine = system.batch_localizer();
+    let online_first = engine
         .observe(&first_scan, None)
         .expect("query matches the database");
     println!("  MoLoc's first online estimate for the same trace: {online_first}");

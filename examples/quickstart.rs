@@ -9,7 +9,7 @@
 //! A tiny world is assembled manually — three reference locations in a
 //! row, two of which are fingerprint twins — to show the API surface of
 //! the core crate: a fingerprint database, a motion database, and the
-//! stateful tracker that fuses both.
+//! per-session engine that fuses both.
 
 use moloc::prelude::*;
 use moloc::stats::gaussian::Gaussian;
@@ -40,17 +40,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let system = MoLoc::builder(fdb, mdb)
         .config(MoLocConfig::paper())
         .build();
-    let mut tracker = system.tracker();
+    let mut engine = system.batch_localizer();
 
     // First query: the user is at L2 (distinctive, easy).
-    let first = tracker.observe(&Fingerprint::new(vec![-41.0, -69.0]), None)?;
+    let first = engine.observe(&Fingerprint::new(vec![-41.0, -69.0]), None)?;
     println!("initial estimate: {first}");
 
     // The user then walks 4 m east and queries with a fingerprint that
     // matches BOTH twins. Plain fingerprinting cannot tell L1 from L3;
     // the motion measurement resolves it.
     let twin_query = Fingerprint::new(vec![-50.1, -49.9]);
-    let second = tracker.observe(
+    let second = engine.observe(
         &twin_query,
         Some(MotionMeasurement {
             direction_deg: 88.0,
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Walking back west returns to L2, then further west lands on L1 —
     // the *other* twin, again disambiguated purely by motion.
-    let back = tracker.observe(
+    let back = engine.observe(
         &Fingerprint::new(vec![-40.5, -69.5]),
         Some(MotionMeasurement {
             direction_deg: 271.0,
@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }),
     )?;
     println!("after walking 4 m west: {back}");
-    let far_west = tracker.observe(
+    let far_west = engine.observe(
         &twin_query,
         Some(MotionMeasurement {
             direction_deg: 269.0,
@@ -80,10 +80,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("after walking another 4 m west: {far_west}");
     assert_eq!(far_west, LocationId::new(1));
 
-    // The retained candidate set is exposed for inspection.
-    let candidates = tracker.candidates().expect("tracker has history");
+    // The retained posterior is exposed for inspection.
     println!("final candidate probabilities:");
-    for (loc, p) in candidates.iter() {
+    for (loc, p) in engine.posterior() {
         println!("  {loc}: {p:.4}");
     }
     Ok(())

@@ -110,9 +110,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Scenario (b): correct initial fix at the unique p_b, then walk
     // south-east to q. The twins q/q′ are separated by the *direction*.
-    let mut tracker = system.tracker();
-    let initial = tracker.observe(&scan_at(Vec2::new(10.0, 10.0), &mut rng), None)?;
-    let walked = tracker.observe(
+    let mut engine = system.batch_localizer();
+    let initial = engine.observe(&scan_at(Vec2::new(10.0, 10.0), &mut rng), None)?;
+    let walked = engine.observe(
         &scan_at(Vec2::new(16.0, 6.0), &mut rng),
         Some(MotionMeasurement {
             direction_deg: 122.0,
@@ -132,7 +132,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // *both* with near-equal probability, p′ slightly ahead. Walking
     // 6 m east then matches p → q but not p′ → q′ (whose crowdsourced
     // offset is 8 m), so the retained candidates rescue the estimate.
-    let mut tracker_c = system.tracker();
+    let mut engine_c = system.batch_localizer();
     let p_fp = system
         .fingerprint_db()
         .fingerprint(LocationId::new(1))
@@ -152,20 +152,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|(a, b)| 0.4 * a + 0.6 * b)
             .collect(),
     );
-    let wrong_initial = tracker_c.observe(&tilted, None)?;
-    let recovered = tracker_c.observe(
+    let wrong_initial = engine_c.observe(&tilted, None)?;
+    let recovered = engine_c.observe(
         &scan_at(Vec2::new(16.0, 6.0), &mut rng),
         Some(MotionMeasurement {
             direction_deg: 91.0,
             offset_m: 6.1,
         }),
     )?;
-    let candidates = tracker_c.candidates().expect("has history");
+    let posterior_of = |id: u32| {
+        engine_c
+            .posterior()
+            .iter()
+            .find(|(loc, _)| *loc == LocationId::new(id))
+            .map_or(0.0, |&(_, p)| p)
+    };
     println!(
         "(c) wrong initial estimate {wrong_initial}, after walking 6 m east: {recovered} \
          (posterior q = {:.3}, q′ = {:.3})",
-        candidates.probability_of(LocationId::new(3)),
-        candidates.probability_of(LocationId::new(4)),
+        posterior_of(3),
+        posterior_of(4),
     );
     assert_eq!(
         recovered,

@@ -12,8 +12,8 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `moloc-core` | the MoLoc algorithm (Eq. 5–7, tracker, engine) |
-//! | [`fingerprint`] | `moloc-fingerprint` | fingerprint DB, metrics, k-NN, WiFi & Horus baselines |
+//! | [`core`] | `moloc-core` | the MoLoc algorithm: the `BatchLocalizer` Eq. 3–7 step driver, the `MoLoc` facade, HMM and particle comparators |
+//! | [`fingerprint`] | `moloc-fingerprint` | fingerprint DB, the columnar k-NN index (Eq. 1/3), WiFi, centroid & Horus baselines |
 //! | [`motion`] | `moloc-motion` | the motion database and its crowdsourced construction |
 //! | [`sensors`] | `moloc-sensors` | IMU synthesis & processing: steps (DSC/CSC), heading |
 //! | [`mobility`] | `moloc-mobility` | user profiles, random walks, sensor-trace rendering |
@@ -21,7 +21,7 @@
 //! | [`geometry`] | `moloc-geometry` | floor plans, reference grids, walkable graphs |
 //! | [`stats`] | `moloc-stats` | Gaussians, circular statistics, ECDFs |
 //! | [`faults`] | `moloc-faults` | seeded fault injection: AP dropout, rogue APs, sensor gaps, RLM corruption, stream & lifecycle faults |
-//! | [`session`] | `moloc-session` | crash-safe streaming: reorder buffer, checkpointed tracker state, recovery |
+//! | [`session`] | `moloc-session` | crash-safe streaming: reorder buffer, checkpointed posterior, recovery |
 //! | [`live`] | `moloc-live` | dynamic crowdsourced database updates: epoch snapshots, atomic publication, live localizers |
 //! | [`verify`] | `moloc-verify` | differential oracles (naive Eq. 4–7, exhaustive k-NN, checkpoint framing) and zero-cost runtime invariant checks |
 //! | [`obs`] | `moloc-obs` | zero-dependency metrics: counters, histograms, timing spans, snapshots |
@@ -52,9 +52,9 @@
 //! });
 //!
 //! let system = MoLoc::builder(fdb, mdb).build();
-//! let mut tracker = system.tracker();
-//! tracker.observe(&Fingerprint::new(vec![-41.0, -59.0]), None)?;
-//! let here = tracker.observe(
+//! let mut engine = system.batch_localizer();
+//! engine.observe(&Fingerprint::new(vec![-41.0, -59.0]), None)?;
+//! let here = engine.observe(
 //!     &Fingerprint::new(vec![-59.0, -41.0]),
 //!     Some(MotionMeasurement { direction_deg: 92.0, offset_m: 4.9 }),
 //! )?;
@@ -91,12 +91,12 @@ pub use moloc_verify as verify;
 
 /// Commonly used types, one import away.
 pub mod prelude {
+    pub use moloc_core::batch::BatchLocalizer;
     pub use moloc_core::config::MoLocConfig;
     pub use moloc_core::engine::MoLoc;
     pub use moloc_core::error::{DegradationFlags, MolocError};
-    pub use moloc_core::tracker::{MoLocTracker, MotionMeasurement};
+    pub use moloc_core::tracker::MotionMeasurement;
     pub use moloc_faults::plan::{FaultPlan, FaultSuite};
-    pub use moloc_fingerprint::candidates::CandidateSet;
     pub use moloc_fingerprint::db::FingerprintDb;
     pub use moloc_fingerprint::fingerprint::Fingerprint;
     pub use moloc_fingerprint::nn_localizer::NnLocalizer;

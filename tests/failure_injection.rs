@@ -87,7 +87,7 @@ fn outlier_polluted_crowdsourcing_is_sanitized() {
 
 #[test]
 fn heavily_biased_compass_does_not_crash_and_wifi_is_a_floor() {
-    // A tracker fed systematically rotated motion measurements must not
+    // An engine fed systematically rotated motion measurements must not
     // do much worse than having no motion at all, thanks to the
     // degenerate-evidence fallback and the missing-pair floor.
     let fdb = FingerprintDb::from_fingerprints(vec![
@@ -105,12 +105,12 @@ fn heavily_biased_compass_does_not_crash_and_wifi_is_a_floor() {
     mdb.insert(l(1), l(2), east);
     mdb.insert(l(2), l(3), east);
     let system = MoLoc::builder(fdb, mdb).build();
-    let mut tracker = system.tracker();
-    tracker
+    let mut engine = system.batch_localizer();
+    engine
         .observe(&Fingerprint::new(vec![-40.0, -70.0]), None)
         .unwrap();
     // True motion east, measured compass off by 120°.
-    let est = tracker
+    let est = engine
         .observe(
             &Fingerprint::new(vec![-54.0, -56.0]),
             Some(MotionMeasurement {
@@ -142,14 +142,14 @@ fn stationary_user_keeps_her_location() {
         },
     );
     let system = MoLoc::builder(fdb, mdb).build();
-    let mut tracker = system.tracker();
-    tracker
+    let mut engine = system.batch_localizer();
+    engine
         .observe(&Fingerprint::new(vec![-50.0, -50.0]), None)
         .unwrap();
     // No steps detected → offset ~0. The stationary model keeps L1 in
     // front even when the twin's fingerprint momentarily matches
     // better.
-    let est = tracker
+    let est = engine
         .observe(
             &Fingerprint::new(vec![-50.0, -50.15]),
             Some(MotionMeasurement {

@@ -91,11 +91,51 @@ fn motion_measurement_round_trips() {
 }
 
 #[test]
-fn candidate_set_round_trips_normalized() {
-    let set = CandidateSet::from_weights(vec![(l(1), 3.0), (l(2), 1.0)]).unwrap();
-    let back = round_trip(&set);
-    assert_eq!(back, set);
-    assert!((back.total_probability() - 1.0).abs() < 1e-12);
+fn posterior_round_trips_normalized() {
+    // The retained posterior is the whole recursion state a checkpoint
+    // carries: it must survive serialization exactly, still sum to 1,
+    // and resume the engine where it left off.
+    let fdb = FingerprintDb::from_fingerprints(vec![
+        (l(1), Fingerprint::new(vec![-40.0, -70.0])),
+        (l(2), Fingerprint::new(vec![-70.0, -40.0])),
+    ])
+    .unwrap();
+    let mut mdb = MotionDb::new(2);
+    mdb.insert(
+        l(1),
+        l(2),
+        PairStats {
+            direction: Gaussian::new(90.0, 5.0).unwrap(),
+            offset: Gaussian::new(5.0, 0.3).unwrap(),
+            sample_count: 9,
+        },
+    );
+    let system = MoLoc::builder(fdb, mdb).build();
+    let east = Some(MotionMeasurement {
+        direction_deg: 91.0,
+        offset_m: 5.1,
+    });
+    let mut engine = system.batch_localizer();
+    engine
+        .observe(&Fingerprint::new(vec![-41.0, -69.0]), None)
+        .unwrap();
+    engine
+        .observe(&Fingerprint::new(vec![-60.0, -50.0]), east)
+        .unwrap();
+    let posterior = engine.posterior().to_vec();
+    let back: Vec<(LocationId, f64)> = round_trip(&posterior);
+    assert_eq!(back, posterior);
+    let total: f64 = back.iter().map(|(_, p)| p).sum();
+    assert!((total - 1.0).abs() < 1e-12);
+
+    let mut resumed = system.batch_localizer();
+    resumed.restore_posterior(&back, engine.last_flags());
+    let next = Fingerprint::new(vec![-66.0, -44.0]);
+    assert_eq!(
+        resumed.observe(&next, east).unwrap(),
+        engine.observe(&next, east).unwrap()
+    );
+    assert_eq!(resumed.posterior(), engine.posterior());
 }
 
 #[test]

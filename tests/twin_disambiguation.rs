@@ -78,14 +78,14 @@ fn walking_west_picks_the_other_twins() {
 #[test]
 fn exact_twin_queries_are_ambiguous_without_motion() {
     let system = corridor();
-    let mut a = system.tracker();
+    let mut a = system.batch_localizer();
     a.observe(&fp(&[-45.0, -50.0]), None).unwrap();
-    // Without motion the twins tie; the tracker resolves the tie
+    // Without motion the twins tie; the engine resolves the tie
     // deterministically (lower id), which is *not* tracking.
     let no_motion = a.observe(&fp(&[-50.0, -45.0]), None).unwrap();
     assert_eq!(no_motion, l(2));
 
-    let mut b = system.tracker();
+    let mut b = system.batch_localizer();
     b.observe(&fp(&[-45.0, -50.0]), None).unwrap();
     let with_motion = b.observe(&fp(&[-50.0, -45.0]), east(4.0)).unwrap();
     assert_eq!(with_motion, l(4), "motion breaks the tie correctly");
@@ -94,8 +94,8 @@ fn exact_twin_queries_are_ambiguous_without_motion() {
 #[test]
 fn long_walk_with_noisy_measurements_still_tracks() {
     let system = corridor();
-    let mut tracker = system.tracker();
-    tracker.observe(&fp(&[-44.5, -50.5]), None).unwrap();
+    let mut engine = system.batch_localizer();
+    engine.observe(&fp(&[-44.5, -50.5]), None).unwrap();
     // Walk east twice then back west twice, with sensor-level noise on
     // both the direction and the offset.
     let steps = [
@@ -105,7 +105,7 @@ fn long_walk_with_noisy_measurements_still_tracks() {
         (fp(&[-45.3, -49.8]), 276.0, 3.8, l(3)),
     ];
     for (query, dir, off, want) in steps {
-        let got = tracker
+        let got = engine
             .observe(
                 &query,
                 Some(MotionMeasurement {
@@ -149,11 +149,11 @@ fn offset_alone_separates_near_from_far_twins() {
     );
     let system = MoLoc::builder(fdb, mdb).build();
 
-    let mut near = system.tracker();
+    let mut near = system.batch_localizer();
     near.observe(&fp(&[-40.0, -70.0]), None).unwrap();
     assert_eq!(near.observe(&fp(&[-55.0, -55.0]), east(4.1)).unwrap(), l(3));
 
-    let mut far = system.tracker();
+    let mut far = system.batch_localizer();
     far.observe(&fp(&[-40.0, -70.0]), None).unwrap();
     assert_eq!(far.observe(&fp(&[-55.0, -55.0]), east(8.8)).unwrap(), l(1));
 }
@@ -189,11 +189,11 @@ fn wrong_initial_estimate_recovers_with_asymmetric_neighborhoods() {
         },
     );
     let system = MoLoc::builder(fdb, mdb).build();
-    let mut tracker = system.tracker();
+    let mut engine = system.batch_localizer();
     // The initial query ties p/p′; the tie-break picks p (lower id),
     // but suppose the user is *actually* at p′... then she walks south.
-    tracker.observe(&fp(&[-52.0, -52.05]), None).unwrap();
-    let got = tracker
+    engine.observe(&fp(&[-52.0, -52.05]), None).unwrap();
+    let got = engine
         .observe(
             &fp(&[-45.05, -60.0]),
             Some(MotionMeasurement {
