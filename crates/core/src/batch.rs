@@ -957,7 +957,8 @@ mod tests {
         let index = Arc::new(FingerprintIndex::build(&fdb));
         let kernel = Arc::new(build_kernel(&mdb, &config));
         let mut owned = BatchLocalizer::new(&fdb, &mdb, config);
-        let mut counted = BatchLocalizer::new_counted(Arc::clone(&index), Arc::clone(&kernel), config);
+        let mut counted =
+            BatchLocalizer::new_counted(Arc::clone(&index), Arc::clone(&kernel), config);
         assert_eq!(
             owned.localize_trace(&queries()).unwrap(),
             counted.localize_trace(&queries()).unwrap()

@@ -745,10 +745,10 @@ fn live_suite(world: &EvalWorld, setting: &Setting, seed: u64, report: &mut Audi
         Rlm::new(a, b, direction, offset.max(0.1)).expect("valid rlm")
     };
 
-    let mut log = UpdateLog::new(setting.n_aps, map.clone(), sanitation)
-        .expect("valid sanitation");
+    let mut log = UpdateLog::new(setting.n_aps, map.clone(), sanitation).expect("valid sanitation");
     for (id, values) in &base {
-        log.observe_survey_sample(*id, values).expect("ap count matches");
+        log.observe_survey_sample(*id, values)
+            .expect("ap count matches");
     }
     let publisher = SnapshotPublisher::new(log.build_snapshot(0).expect("seed snapshot"));
     log.mark_published();
@@ -759,7 +759,8 @@ fn live_suite(world: &EvalWorld, setting: &Setting, seed: u64, report: &mut Audi
     const EPOCHS: u64 = 4;
     for epoch in 1..=EPOCHS {
         for (id, values) in delta_samples(epoch) {
-            log.observe_survey_sample(id, &values).expect("ap count matches");
+            log.observe_survey_sample(id, &values)
+                .expect("ap count matches");
         }
         log.observe_rlm(delta_rlm(epoch));
         let published = publisher.publish(&mut log).expect("publish succeeds");
@@ -767,14 +768,18 @@ fn live_suite(world: &EvalWorld, setting: &Setting, seed: u64, report: &mut Audi
         let incremental = reader.snapshot().digest();
 
         // From-scratch arm: a fresh log fed the identical history.
-        let mut rebuilt = UpdateLog::new(setting.n_aps, map.clone(), sanitation)
-            .expect("valid sanitation");
+        let mut rebuilt =
+            UpdateLog::new(setting.n_aps, map.clone(), sanitation).expect("valid sanitation");
         for (id, values) in &base {
-            rebuilt.observe_survey_sample(*id, values).expect("ap count matches");
+            rebuilt
+                .observe_survey_sample(*id, values)
+                .expect("ap count matches");
         }
         for e in 1..=epoch {
             for (id, values) in delta_samples(e) {
-                rebuilt.observe_survey_sample(id, &values).expect("ap count matches");
+                rebuilt
+                    .observe_survey_sample(id, &values)
+                    .expect("ap count matches");
             }
             rebuilt.observe_rlm(delta_rlm(e));
         }
@@ -787,10 +792,7 @@ fn live_suite(world: &EvalWorld, setting: &Setting, seed: u64, report: &mut Audi
                 suite: "live.rebuild".to_string(),
                 case: format!("epoch {epoch}"),
                 expected: format!("digest {rebuilt_digest:#018x} at epoch {epoch}"),
-                actual: format!(
-                    "digest {incremental:#018x} at epoch {}",
-                    published.epoch
-                ),
+                actual: format!("digest {incremental:#018x} at epoch {}", published.epoch),
             });
         }
         cases += 1;
@@ -868,18 +870,14 @@ fn session_suite(world: &EvalWorld, setting: &Setting, report: &mut AuditReport)
                     .expect("open log");
             let mut sink = Vec::new();
             for event in &events[..kill] {
-                doomed.ingest(event.clone(), &mut sink).expect("doomed ingest");
+                doomed
+                    .ingest(event.clone(), &mut sink)
+                    .expect("doomed ingest");
             }
             // Dropped without finish: a SIGKILL between syscalls.
         }
-        let recovered = StreamingSession::recover(
-            &index,
-            &kernel,
-            config,
-            session_config,
-            &path,
-        )
-        .expect("recover opens the log");
+        let recovered = StreamingSession::recover(&index, &kernel, config, session_config, &path)
+            .expect("recover opens the log");
         let mut session = recovered.session;
         let replay_from = usize::try_from(session.ingested()).expect("fits");
         let already = usize::try_from(session.delivered()).expect("fits");

@@ -137,7 +137,11 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Panics with the replay banner on a violated invariant.
 fn check(cond: bool, spec: &FaultPlanSpec, seed: u64, msg: &str) {
-    assert!(cond, "chaos invariant violated: {msg}\nseed {seed}\n{}", spec.describe());
+    assert!(
+        cond,
+        "chaos invariant violated: {msg}\nseed {seed}\n{}",
+        spec.describe()
+    );
 }
 
 /// The shared per-run context: built once, borrowed everywhere.
@@ -151,7 +155,12 @@ struct Ctx<'a> {
 /// The in-order event stream of one test trace: seq = pass index, the
 /// scan truncated to the setting's AP count, and the inter-pass motion
 /// measurement exactly as the batch pipeline feeds it.
-fn event_stream(world: &EvalWorld, setting: &Setting, index: &FingerprintIndex, trace_index: usize) -> Vec<ScanEvent> {
+fn event_stream(
+    world: &EvalWorld,
+    setting: &Setting,
+    index: &FingerprintIndex,
+    trace_index: usize,
+) -> Vec<ScanEvent> {
     let trace = &world.corpus.test[trace_index];
     let analysis = analyze_trace_indexed(
         trace,
@@ -214,13 +223,19 @@ fn stream_all(
     let mut session = StreamingSession::new(ctx.index, ctx.kernel, ctx.config, ctx.session);
     let mut out = Vec::new();
     for event in arrivals {
-        session
-            .ingest(event.clone(), &mut out)
-            .unwrap_or_else(|e| panic!("uninterrupted ingest failed: {e}\nseed {seed}\n{}", spec.describe()));
+        session.ingest(event.clone(), &mut out).unwrap_or_else(|e| {
+            panic!(
+                "uninterrupted ingest failed: {e}\nseed {seed}\n{}",
+                spec.describe()
+            )
+        });
     }
-    session
-        .finish(&mut out)
-        .unwrap_or_else(|e| panic!("uninterrupted finish failed: {e}\nseed {seed}\n{}", spec.describe()));
+    session.finish(&mut out).unwrap_or_else(|e| {
+        panic!(
+            "uninterrupted finish failed: {e}\nseed {seed}\n{}",
+            spec.describe()
+        )
+    });
     (
         out,
         session.state().encode().expect("state encodes"),
@@ -230,10 +245,7 @@ fn stream_all(
 
 /// A scratch checkpoint-log path, cleared of any leftover.
 fn scratch_log(tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "moloc_chaos_{}_{tag}.ckpt",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("moloc_chaos_{}_{tag}.ckpt", std::process::id()));
     let _ = std::fs::remove_file(&path);
     path
 }
@@ -279,7 +291,12 @@ fn kill_and_recover(
     );
     let mut session = recovered.session;
     let resume = session.ingested() as usize;
-    check(resume <= kill, spec, seed, "replay cursor ran ahead of the kill point");
+    check(
+        resume <= kill,
+        spec,
+        seed,
+        "replay cursor ran ahead of the kill point",
+    );
     let replay_from = session.delivered() as usize;
     let mut out = Vec::new();
     for event in &arrivals[resume..] {
@@ -343,11 +360,7 @@ fn zero_fault_equivalence(ctx: &Ctx<'_>, streams: &[Vec<ScanEvent>], seed: u64) 
 
 /// Claim 3: a corrupted checkpoint log is detected, and recovery past
 /// it still converges. Returns `(detected, bit_identical)`.
-fn corruption_is_loud(
-    ctx: &Ctx<'_>,
-    events: &[ScanEvent],
-    seed: u64,
-) -> (bool, bool) {
+fn corruption_is_loud(ctx: &Ctx<'_>, events: &[ScanEvent], seed: u64) -> (bool, bool) {
     let injector = CheckpointCorruption { rate: 1.0, seed };
     let spec = FaultPlanSpec {
         checkpoint_corruption: Some(injector),
@@ -383,7 +396,12 @@ fn corruption_is_loud(
         StreamingSession::recover(ctx.index, ctx.kernel, ctx.config, ctx.session, &path)
             .unwrap_or_else(|e| panic!("recover: {e}\nseed {seed}\n{}", spec.describe()));
     let detected = recovered.report.corruption.is_some();
-    check(detected, &spec, seed, "corrupted checkpoint log loaded silently");
+    check(
+        detected,
+        &spec,
+        seed,
+        "corrupted checkpoint log loaded silently",
+    );
     let mut session = recovered.session;
     let resume = session.ingested() as usize;
     check(
@@ -456,8 +474,16 @@ fn watchdog_outcomes(seed: u64) -> WatchdogOutcome {
 
     // Jobs 1-2 stall probabilistically through the seeded injector.
     let plans = [
-        WorkerStall { rate: 0.3, stall_ms: 60, seed },
-        WorkerStall { rate: 0.3, stall_ms: 60, seed: seed ^ 1 },
+        WorkerStall {
+            rate: 0.3,
+            stall_ms: 60,
+            seed,
+        },
+        WorkerStall {
+            rate: 0.3,
+            stall_ms: 60,
+            seed: seed ^ 1,
+        },
     ];
     for (job, plan) in plans.iter().enumerate() {
         jobs += 1;

@@ -19,9 +19,7 @@
 
 use crate::metrics::{flatten, summarize};
 use crate::parallel::par_run;
-use crate::pipeline::{
-    analyze_trace_indexed, localize_moloc, CountingMethod, EvalWorld, Setting,
-};
+use crate::pipeline::{analyze_trace_indexed, localize_moloc, CountingMethod, EvalWorld, Setting};
 use crate::report;
 use moloc_core::config::MoLocConfig;
 use moloc_fingerprint::db::FingerprintDb;
@@ -223,9 +221,7 @@ pub fn run(world: &EvalWorld, seed: u64) -> Drift {
     for delta in &merged {
         apply(&mut log, delta);
     }
-    let publisher = SnapshotPublisher::new(
-        log.build_snapshot(0).expect("seed snapshot builds"),
-    );
+    let publisher = SnapshotPublisher::new(log.build_snapshot(0).expect("seed snapshot builds"));
     log.mark_published();
 
     let epoch0 = publisher.snapshot();

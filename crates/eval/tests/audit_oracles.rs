@@ -39,18 +39,29 @@ fn l(id: u32) -> LocationId {
 fn tied_db() -> FingerprintDb {
     let twin = vec![-50.0, -61.0, -47.5, -72.0, -55.0, -66.0];
     FingerprintDb::from_fingerprints(vec![
-        (l(1), Fingerprint::new(vec![-40.0, -55.0, -62.0, -70.0, -48.0, -58.0])),
+        (
+            l(1),
+            Fingerprint::new(vec![-40.0, -55.0, -62.0, -70.0, -48.0, -58.0]),
+        ),
         (l(2), Fingerprint::new(twin.clone())),
-        (l(3), Fingerprint::new(vec![-80.0, -75.0, -68.0, -59.0, -63.0, -71.0])),
+        (
+            l(3),
+            Fingerprint::new(vec![-80.0, -75.0, -68.0, -59.0, -63.0, -71.0]),
+        ),
         (l(4), Fingerprint::new(twin.clone())),
         (l(5), Fingerprint::new(twin)),
-        (l(6), Fingerprint::new(vec![-45.0, -52.0, -66.0, -77.0, -51.0, -60.0])),
+        (
+            l(6),
+            Fingerprint::new(vec![-45.0, -52.0, -66.0, -77.0, -51.0, -60.0]),
+        ),
     ])
     .expect("valid db")
 }
 
 fn rows(db: &FingerprintDb) -> Vec<(LocationId, Vec<f64>)> {
-    db.iter().map(|(id, fp)| (id, fp.values().to_vec())).collect()
+    db.iter()
+        .map(|(id, fp)| (id, fp.values().to_vec()))
+        .collect()
 }
 
 fn pairs(neighbors: &[Neighbor]) -> Vec<(LocationId, f64)> {
@@ -213,7 +224,8 @@ fn checkpoint_frames_are_byte_identical_to_the_oracle_framer() {
         let session = moloc_session::checkpoint::frame_record(&payload);
         let oracled = oracle::frame_record(&payload);
         assert_eq!(
-            session, oracled,
+            session,
+            oracled,
             "frame divergence for {}-byte payload",
             payload.len()
         );

@@ -122,8 +122,7 @@ fn reference_run(
     kernel: &MotionKernel,
     events: &[ScanEvent],
 ) -> (Vec<Estimate>, Vec<u8>) {
-    let mut session =
-        StreamingSession::new(index, kernel, MoLocConfig::paper(), session_config());
+    let mut session = StreamingSession::new(index, kernel, MoLocConfig::paper(), session_config());
     let mut out = Vec::new();
     for event in events {
         session
@@ -135,10 +134,8 @@ fn reference_run(
 }
 
 fn scratch_log(tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "moloc_recovery_{}_{tag}.ckpt",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("moloc_recovery_{}_{tag}.ckpt", std::process::id()));
     let _ = std::fs::remove_file(&path);
     path
 }
@@ -155,14 +152,9 @@ fn recover_and_verify(
     reference_state: &[u8],
     label: &str,
 ) -> bool {
-    let recovered = StreamingSession::recover(
-        index,
-        kernel,
-        MoLocConfig::paper(),
-        session_config(),
-        path,
-    )
-    .expect("recover opens the log");
+    let recovered =
+        StreamingSession::recover(index, kernel, MoLocConfig::paper(), session_config(), path)
+            .expect("recover opens the log");
     assert!(
         recovered.report.corruption.is_none(),
         "{label}: clean kill must not corrupt the log: {:?}",
@@ -177,7 +169,9 @@ fn recover_and_verify(
     let already = usize::try_from(session.delivered()).unwrap();
     let mut out = Vec::new();
     for event in &events[replay_from..] {
-        session.ingest(event.clone(), &mut out).expect("replay ingest");
+        session
+            .ingest(event.clone(), &mut out)
+            .expect("replay ingest");
     }
     session.finish(&mut out).expect("replay finish");
     assert_eq!(
@@ -244,17 +238,14 @@ fn in_process_kill_matrix_recovers_bit_identically() {
             // The doomed session: ingest the prefix, then drop without
             // `finish` — everything past the last checkpoint append is
             // lost, exactly like a SIGKILL between syscalls.
-            let mut doomed = StreamingSession::with_log(
-                &index,
-                &kernel,
-                config,
-                session_config(),
-                &path,
-            )
-            .expect("open log");
+            let mut doomed =
+                StreamingSession::with_log(&index, &kernel, config, session_config(), &path)
+                    .expect("open log");
             let mut sink = Vec::new();
             for event in &events[..kill] {
-                doomed.ingest(event.clone(), &mut sink).expect("doomed ingest");
+                doomed
+                    .ingest(event.clone(), &mut sink)
+                    .expect("doomed ingest");
             }
         }
         let resumed = recover_and_verify(
@@ -295,17 +286,13 @@ fn child_kill_entry() {
     let config = MoLocConfig::paper();
     let kernel = build_kernel(&fx.setting.motion_db, &config);
     let events = event_stream(0);
-    let mut session = StreamingSession::with_log(
-        &index,
-        &kernel,
-        config,
-        session_config(),
-        &path,
-    )
-    .expect("child opens log");
+    let mut session = StreamingSession::with_log(&index, &kernel, config, session_config(), &path)
+        .expect("child opens log");
     let mut sink = Vec::new();
     for event in &events[..kill.min(events.len())] {
-        session.ingest(event.clone(), &mut sink).expect("child ingest");
+        session
+            .ingest(event.clone(), &mut sink)
+            .expect("child ingest");
     }
     std::process::exit(9);
 }

@@ -188,7 +188,10 @@ mod tests {
 
     fn full_spec() -> FaultPlanSpec {
         FaultPlanSpec {
-            ap_dropout: Some(ApDropout { rate: 0.25, seed: 1 }),
+            ap_dropout: Some(ApDropout {
+                rate: 0.25,
+                seed: 1,
+            }),
             ap_outage: Some(ApOutage { ap: 3 }),
             rogue_ap: Some(RogueAp {
                 ap: 1,
@@ -224,10 +227,7 @@ mod tests {
                 window: 4,
                 seed: 8,
             }),
-            scan_duplicate: Some(ScanDuplicate {
-                rate: 0.2,
-                seed: 9,
-            }),
+            scan_duplicate: Some(ScanDuplicate { rate: 0.2, seed: 9 }),
             scan_loss: Some(ScanLoss {
                 rate: 0.1,
                 seed: 10,

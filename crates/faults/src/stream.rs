@@ -394,8 +394,8 @@ mod tests {
             drift_per_s: 0.0,
             seed: 21,
         };
-        let original = TimeSeries::new(10.0, 20.0, (0..40).map(f64::from).collect())
-            .expect("valid series");
+        let original =
+            TimeSeries::new(10.0, 20.0, (0..40).map(f64::from).collect()).expect("valid series");
         let mut accel = original.clone();
         let mut compass = original.clone();
         plan.apply_accel(6, &mut accel);

@@ -169,8 +169,7 @@ mod tests {
         let config = MoLocConfig::paper();
         let mut live = LiveLocalizer::new(publisher.reader(), config);
         let kernel = build_kernel(&snapshot.motion_db, &config);
-        let mut reference =
-            BatchLocalizer::new_with_index(&snapshot.index, &kernel, config);
+        let mut reference = BatchLocalizer::new_with_index(&snapshot.index, &kernel, config);
 
         for (id, motion) in [(1u32, None), (2, east()), (3, east())] {
             let scan = scan_for(&log, id);
@@ -193,7 +192,8 @@ mod tests {
         assert_eq!((loc, epoch), (l(1), 0));
 
         // A mid-trace publish: more survey weight on location 2.
-        log.observe_survey_sample(l(2), &[-46.1, -58.0, -71.2]).unwrap();
+        log.observe_survey_sample(l(2), &[-46.1, -58.0, -71.2])
+            .unwrap();
         assert!(publisher.publish(&mut log).unwrap().published);
         assert_eq!(live.epoch(), 0, "not adopted until a step runs");
 
@@ -211,12 +211,11 @@ mod tests {
         let mut live = LiveLocalizer::new(publisher.reader(), MoLocConfig::paper());
 
         live.observe(&scan_for(&log, 1), None).unwrap();
-        log.observe_survey_sample(l(3), &[-54.2, -65.9, -79.1]).unwrap();
+        log.observe_survey_sample(l(3), &[-54.2, -65.9, -79.1])
+            .unwrap();
         publisher.publish(&mut log).unwrap();
 
-        let (loc, epoch) = live
-            .observe_held(&scan_for(&log, 2), east(), true)
-            .unwrap();
+        let (loc, epoch) = live.observe_held(&scan_for(&log, 2), east(), true).unwrap();
         assert_eq!(epoch, 0, "held step serves the old epoch");
         assert_eq!(loc, l(2));
 

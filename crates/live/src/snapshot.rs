@@ -105,7 +105,10 @@ mod tests {
     fn snap(epoch: u64, values: &[f64]) -> DbSnapshot {
         let fdb = FingerprintDb::from_fingerprints(vec![
             (LocationId::new(1), Fingerprint::new(values.to_vec())),
-            (LocationId::new(2), Fingerprint::new(vec![-70.0; values.len()])),
+            (
+                LocationId::new(2),
+                Fingerprint::new(vec![-70.0; values.len()]),
+            ),
         ])
         .expect("valid db");
         let index = FingerprintIndex::build(&fdb);

@@ -548,8 +548,7 @@ mod tests {
     #[test]
     fn state_round_trips_bit_identically() {
         let state = sample_state();
-        let back =
-            CheckpointState::decode(&state.encode().expect("encodes")).expect("decodes");
+        let back = CheckpointState::decode(&state.encode().expect("encodes")).expect("decodes");
         assert_eq!(back.ingested, state.ingested);
         assert_eq!(back.watermark, state.watermark);
         assert_eq!(back.epoch, state.epoch);

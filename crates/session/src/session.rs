@@ -256,7 +256,11 @@ impl<'a> StreamingSession<'a> {
     /// Returns [`SessionError::Track`] for malformed queries (the
     /// tracker's own contract) and [`SessionError::Checkpoint`] when a
     /// due checkpoint append fails.
-    pub fn ingest(&mut self, event: ScanEvent, out: &mut Vec<Estimate>) -> Result<(), SessionError> {
+    pub fn ingest(
+        &mut self,
+        event: ScanEvent,
+        out: &mut Vec<Estimate>,
+    ) -> Result<(), SessionError> {
         self.ingested += 1;
         moloc_obs::counter_add("session.stream.ingested", 1);
         let mut ready = std::mem::take(&mut self.ready);

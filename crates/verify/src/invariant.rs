@@ -80,8 +80,8 @@ where
             return;
         }
         if let Some((prev_loc, prev_diss)) = prev {
-            let ordered = dissimilarity > prev_diss
-                || (dissimilarity == prev_diss && location > prev_loc);
+            let ordered =
+                dissimilarity > prev_diss || (dissimilarity == prev_diss && location > prev_loc);
             if !ordered {
                 violate(
                     check,

@@ -50,9 +50,7 @@ pub mod invariant;
 pub mod oracle;
 pub mod report;
 
-pub use invariant::{
-    check_epoch, check_knn_ranks, check_posterior, check_watermark, Violation,
-};
+pub use invariant::{check_epoch, check_knn_ranks, check_posterior, check_watermark, Violation};
 pub use report::{AuditReport, Divergence, SuiteSummary};
 
 use std::sync::atomic::{AtomicBool, Ordering};

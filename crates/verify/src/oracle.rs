@@ -72,11 +72,7 @@ where
 /// # Panics
 ///
 /// Panics if `k` is zero or any row's width differs from the query's.
-pub fn k_nearest_masked<'a, I>(
-    rows: I,
-    query: &[f64],
-    k: usize,
-) -> (Vec<(LocationId, f64)>, usize)
+pub fn k_nearest_masked<'a, I>(rows: I, query: &[f64], k: usize) -> (Vec<(LocationId, f64)>, usize)
 where
     I: IntoIterator<Item = (LocationId, &'a [f64])>,
 {
@@ -116,16 +112,11 @@ where
 /// exact matches. Returns `None` when the input is empty or the
 /// inverse-dissimilarity total is non-finite or non-positive (the
 /// degenerate case the engine handles with a uniform reset).
-pub fn candidate_probabilities(
-    neighbors: &[(LocationId, f64)],
-) -> Option<Vec<(LocationId, f64)>> {
+pub fn candidate_probabilities(neighbors: &[(LocationId, f64)]) -> Option<Vec<(LocationId, f64)>> {
     if neighbors.is_empty() {
         return None;
     }
-    let exact = neighbors
-        .iter()
-        .filter(|(_, m)| *m <= f64::EPSILON)
-        .count();
+    let exact = neighbors.iter().filter(|(_, m)| *m <= f64::EPSILON).count();
     if exact > 0 {
         let p = 1.0 / exact as f64;
         return Some(
