@@ -47,7 +47,6 @@ use moloc_core::config::MoLocConfig;
 use moloc_core::error::DegradationFlags;
 use moloc_core::matching::build_kernel;
 use moloc_core::tracker::MotionMeasurement;
-use moloc_eval::parallel::{par_run, set_worker_override};
 use moloc_eval::pipeline::{analyze_trace_indexed, EvalWorld, Setting};
 use moloc_faults::rng::{hash, unit};
 use moloc_fingerprint::db::FingerprintDb;
@@ -59,6 +58,7 @@ use moloc_live::{SnapshotPublisher, UpdateLog};
 use moloc_motion::filter::SanitationConfig;
 use moloc_motion::matrix::MotionDb;
 use moloc_motion::rlm::Rlm;
+use moloc_runtime::{par_run, set_worker_override};
 use moloc_sensors::steps::StepDetector;
 use moloc_session::{ScanEvent, SessionConfig, StreamingSession};
 use moloc_verify::oracle;

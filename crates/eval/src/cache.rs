@@ -215,7 +215,7 @@ impl<'w> ScenarioCache<'w> {
     /// drivers call this once up front so their per-AP-count loops run
     /// entirely against warm artifacts.
     pub fn prewarm(&self, n_aps: &[usize]) {
-        crate::parallel::par_map(n_aps, |&n| {
+        moloc_runtime::par_map(n_aps, |&n| {
             self.artifacts(n);
         });
     }
@@ -268,7 +268,7 @@ fn count_access(layer: &'static str, hit: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::par_run;
+    use moloc_runtime::par_run;
 
     #[test]
     fn repeated_requests_build_once() {

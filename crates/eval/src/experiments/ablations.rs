@@ -11,12 +11,12 @@
 use crate::cache::ScenarioCache;
 use crate::experiments::fig6;
 use crate::metrics::{flatten, summarize};
-use crate::parallel::par_map;
 use crate::pipeline::{analyze_trace, localize_moloc_with, CountingMethod, EvalWorld};
 use crate::report;
 use moloc_core::config::MoLocConfig;
 use moloc_motion::filter::SanitationConfig;
 use moloc_motion::map_based::{from_coordinates, MapBasedConfig};
+use moloc_runtime::par_map;
 use moloc_sensors::steps::StepDetector;
 use moloc_sensors::stride::offset_m;
 use moloc_stats::ecdf::Ecdf;
@@ -31,7 +31,7 @@ pub struct CscVsDsc {
 }
 
 /// Compares CSC and DSC offset errors over every training interval.
-/// Traces fan out on the [`crate::parallel`] worker pool; per-trace
+/// Traces fan out on the [`moloc_runtime`] worker pool; per-trace
 /// error vectors merge back in trace order.
 pub fn csc_vs_dsc(world: &EvalWorld) -> CscVsDsc {
     let detector = StepDetector::default();
@@ -172,7 +172,7 @@ pub fn render_sanitation(result: &SanitationAblation) -> String {
 }
 
 /// Accuracy as a function of the candidate-set size `k`. The `k`
-/// values fan out on the [`crate::parallel`] worker pool; since `k`
+/// values fan out on the [`moloc_runtime`] worker pool; since `k`
 /// does not enter the kernel tables, every arm shares *one* cached
 /// setting, index, and kernel.
 pub fn k_sweep(cache: &ScenarioCache<'_>, n_aps: usize, ks: &[usize]) -> Vec<(usize, f64)> {
@@ -181,7 +181,7 @@ pub fn k_sweep(cache: &ScenarioCache<'_>, n_aps: usize, ks: &[usize]) -> Vec<(us
     let kernel = cache.kernel(n_aps, &MoLocConfig::paper());
     // One k per shard: each arm localizes the full test corpus, so the
     // finest granularity load-balances best.
-    crate::parallel::par_map_chunked(ks, 1, |&k| {
+    moloc_runtime::par_map_chunked(ks, 1, |&k| {
         let config = MoLocConfig {
             k,
             ..MoLocConfig::paper()
@@ -214,7 +214,7 @@ pub struct WindowSweep {
 }
 
 /// Runs the window sweep. Each window setting fans out on the
-/// [`crate::parallel`] worker pool; all arms share one cached setting
+/// [`moloc_runtime`] worker pool; all arms share one cached setting
 /// and index, while each distinct `(α, β)` gets its own cached kernel.
 pub fn window_sweep(
     cache: &ScenarioCache<'_>,
@@ -461,7 +461,7 @@ pub fn heading_fusion(world: &EvalWorld, seed: u64) -> HeadingFusionAblation {
     let mean_scans = world.hall.env.mean_scans(&world.hall.grid);
     // Users fan out on the worker pool; each derives its own RNG from
     // (seed, index), so the parallel result matches the serial one.
-    let per_user = crate::parallel::par_run(users.len(), |i| {
+    let per_user = moloc_runtime::par_run(users.len(), |i| {
         let user = &users[i];
         let mut rng = StdRng::seed_from_u64(moloc_stats::sampling::derive_seed(seed, i as u64));
         let path = random_walk(&world.hall.graph, 16, &mut rng);

@@ -15,7 +15,6 @@
 //! computational-overhead argument of Sec. V made measurable.
 
 use crate::metrics::{flatten, summarize};
-use crate::parallel::par_run;
 use crate::pipeline::{
     analyze_trace, localize_moloc, localize_wifi, EvalWorld, PassOutcome, Setting,
 };
@@ -25,6 +24,7 @@ use moloc_core::particle::{ParticleConfig, ParticleLocalizer};
 use moloc_core::viterbi::ViterbiLocalizer;
 use moloc_fingerprint::fingerprint::Fingerprint;
 use moloc_fingerprint::horus::HorusLocalizer;
+use moloc_runtime::par_run;
 use moloc_sensors::steps::StepDetector;
 use std::time::Instant;
 

@@ -30,7 +30,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use crate::parallel::{par_shards_deadline, par_shards_deadline_with_workers, quarantine_log};
 use crate::pipeline::{analyze_trace_indexed, EvalWorld, Setting};
 use crate::report;
 use moloc_core::batch::BatchLocalizer;
@@ -40,6 +39,7 @@ use moloc_faults::spec::FaultPlanSpec;
 use moloc_faults::{CheckpointCorruption, ScanDuplicate, ScanLoss, ScanReorder, WorkerStall};
 use moloc_fingerprint::index::FingerprintIndex;
 use moloc_motion::kernel::MotionKernel;
+use moloc_runtime::{par_shards_deadline, par_shards_deadline_with_workers, quarantine_log};
 use moloc_sensors::steps::StepDetector;
 use moloc_session::{Estimate, ReorderStats, ScanEvent, SessionConfig, StreamingSession};
 use serde::{Deserialize, Serialize};

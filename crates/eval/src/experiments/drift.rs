@@ -18,7 +18,6 @@
 //! data. Results serialize to `drift.json` via `repro --drift-out`.
 
 use crate::metrics::{flatten, summarize};
-use crate::parallel::par_run;
 use crate::pipeline::{analyze_trace_indexed, localize_moloc, CountingMethod, EvalWorld, Setting};
 use crate::report;
 use moloc_core::config::MoLocConfig;
@@ -28,6 +27,7 @@ use moloc_geometry::LocationId;
 use moloc_live::{DbSnapshot, SnapshotPublisher, UpdateLog};
 use moloc_motion::filter::SanitationConfig;
 use moloc_motion::rlm::Rlm;
+use moloc_runtime::par_run;
 use moloc_sensors::steps::StepDetector;
 use serde::{Deserialize, Serialize};
 

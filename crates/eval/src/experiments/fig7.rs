@@ -62,7 +62,7 @@ pub fn run_setting(world: &EvalWorld, setting: &Setting, config: MoLocConfig) ->
 
 /// Runs the full experiment at the paper's 4/5/6-AP settings.
 ///
-/// AP counts fan out on the [`crate::parallel`] worker pool (nested
+/// AP counts fan out on the [`moloc_runtime`] worker pool (nested
 /// inside, each `localize_*` call fans its traces out on the same
 /// pool).
 pub fn run(world: &EvalWorld) -> Fig7 {
@@ -80,7 +80,7 @@ pub fn run_cached(cache: &ScenarioCache<'_>) -> Fig7 {
     // the expensive builds overlap instead of serializing behind the
     // first AP count's localization work.
     cache.prewarm(&[4, 5, 6]);
-    let settings = crate::parallel::par_map(&[4, 5, 6], |&n| {
+    let settings = moloc_runtime::par_map(&[4, 5, 6], |&n| {
         let artifacts = cache.artifacts(n);
         let kernel = cache.kernel(n, &config);
         ApSettingResult {

@@ -9,7 +9,6 @@
 //! `robust_check` binary.
 
 use crate::metrics::{flatten, summarize};
-use crate::parallel::par_run;
 use crate::pipeline::{analyze_trace_indexed, EvalWorld, PassOutcome, Setting};
 use crate::report;
 use moloc_core::batch::BatchLocalizer;
@@ -19,6 +18,7 @@ use moloc_core::matching::build_kernel;
 use moloc_faults::plan::{apply_to_trace, FaultPlan};
 use moloc_faults::{ApDropout, RlmCorruption, SensorGap};
 use moloc_fingerprint::index::FingerprintIndex;
+use moloc_runtime::par_run;
 use moloc_sensors::steps::StepDetector;
 use serde::{Deserialize, Serialize};
 

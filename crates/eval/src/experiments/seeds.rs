@@ -58,13 +58,13 @@ impl SeedSweep {
 
 /// Runs the sweep over `seeds` at 6 APs on the reduced corpus.
 ///
-/// Seeds fan out on the [`crate::parallel`] worker pool: each world is
+/// Seeds fan out on the [`moloc_runtime`] worker pool: each world is
 /// a pure function of its seed, so the sweep is order-preserving and
 /// deterministic.
 pub fn run(seeds: &[u64]) -> SeedSweep {
     // One seed per shard: each item builds and evaluates an entire
     // world, so the finest granularity load-balances best.
-    let outcomes = crate::parallel::par_map_chunked(seeds, 1, |&seed| {
+    let outcomes = moloc_runtime::par_map_chunked(seeds, 1, |&seed| {
         let world = EvalWorld::small(seed);
         let setting = world.setting(6);
         let wifi = summarize(&flatten(&localize_wifi(&world, &setting)));

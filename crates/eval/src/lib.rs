@@ -18,13 +18,12 @@
 //!   Fig. 7, Fig. 8, Table I, plus the ablations listed in DESIGN.md.
 //! * [`observe`] — the canonical metric taxonomy emitted through
 //!   `moloc-obs` (`repro --metrics FILE` writes the snapshot).
-//! * [`parallel`] — order-preserving parallel maps over the persistent
-//!   work-stealing [`runtime`] (`MOLOC_THREADS` controls the width;
-//!   results are byte-identical to a serial run at every width and
-//!   chunk size), re-exported from `moloc-runtime`.
-//! * [`runtime`] — the process-wide work-stealing worker pool:
-//!   per-worker deques, chunked shards, lock-free slot collection
-//!   (`moloc_runtime::pool`, re-exported).
+//! * [`parallel`] — [`parallel::validate_env`], which reports a
+//!   malformed `MOLOC_THREADS` or `MOLOC_CHUNK` as a
+//!   [`MolocError`](moloc_core::error::MolocError),
+//!   and the resolved pool width. The experiments fan out on
+//!   `moloc-runtime`'s work-stealing pool directly (results are
+//!   byte-identical to a serial run at every width and chunk size).
 //! * [`arena`] — per-worker pools of reusable localization scratch so
 //!   steady-state evaluation does zero hot-path allocation.
 //! * [`report`] — plain-text rendering of tables and CDF series in the
@@ -48,6 +47,5 @@ pub mod report;
 pub mod scenario;
 
 pub use cache::{ScenarioCache, SettingArtifacts};
-pub use moloc_runtime::pool as runtime;
 pub use pipeline::{EvalWorld, Setting};
 pub use scenario::OfficeHall;

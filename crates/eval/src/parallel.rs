@@ -1,21 +1,16 @@
-//! The parallel fan-out primitives of the evaluation crate.
+//! The evaluation crate's view of the worker pool's configuration.
 //!
-//! The pool and its primitives live in `moloc-runtime`, below
+//! The pool and its fan-out primitives live in `moloc-runtime`, below
 //! `moloc-mobility`, so that trace-corpus rendering fans out on the
-//! same pool as the experiments; they are re-exported here unchanged.
-//! This module adds [`validate_env`], which reports a malformed
+//! same pool as the experiments; callers use them from there. This
+//! module adds [`validate_env`], which reports a malformed
 //! `MOLOC_THREADS` or `MOLOC_CHUNK` as the workspace's
-//! [`MolocError::InvalidConfig`]. Per-worker scratch reuse lives in
-//! [`crate::arena`].
+//! [`MolocError::InvalidConfig`], and re-exports [`thread_count`] so
+//! hosts that validate here can print the width they validated.
 
 use moloc_core::error::MolocError;
 
-pub use moloc_runtime::{
-    clear_quarantine, default_chunk, par_map, par_map_chunked, par_run, par_run_chunked,
-    par_shards, par_shards_deadline, par_shards_deadline_with_workers, par_shards_with_workers,
-    quarantine_log, set_worker_override, thread_count, JobReport, QuarantineRecord, SlotWriter,
-    MAX_OVERSUBSCRIPTION, MAX_POOL_WORKERS,
-};
+pub use moloc_runtime::thread_count;
 
 /// Strictly validates every `MOLOC_*` knob the pool reads
 /// (`MOLOC_THREADS`, `MOLOC_CHUNK`) with the pool's own resolution

@@ -18,8 +18,6 @@
 //! into the calibration exactly as they would in the real system.
 
 use crate::arena::{give_back, ArenaPool};
-use crate::parallel::{default_chunk, par_run, par_shards, thread_count};
-use crate::runtime::SlotVec;
 use crate::scenario::{HallConfig, OfficeHall};
 use moloc_core::batch::{BatchLocalizer, BatchScratch};
 use moloc_core::config::MoLocConfig;
@@ -40,6 +38,8 @@ use moloc_motion::kernel::MotionKernel;
 use moloc_motion::matrix::MotionDb;
 use moloc_motion::rlm::Rlm;
 use moloc_radio::survey::{SiteSurvey, SurveySplit};
+use moloc_runtime::pool::SlotVec;
+use moloc_runtime::{default_chunk, par_run, par_shards, thread_count};
 use moloc_sensors::heading::HeadingOffsetEstimator;
 use moloc_sensors::steps::StepDetector;
 use moloc_sensors::stride::offset_m;
@@ -341,7 +341,7 @@ impl PassOutcome {
 
 /// Runs the WiFi fingerprinting baseline (Eq. 2) over the test traces.
 ///
-/// Traces fan out on the [`crate::parallel`] worker pool; the outcome
+/// Traces fan out on the [`moloc_runtime`] worker pool; the outcome
 /// of each trace is a pure function of the shared databases, so the
 /// result is identical to a serial run.
 pub fn localize_wifi(world: &EvalWorld, setting: &Setting) -> Vec<Vec<PassOutcome>> {

@@ -14,12 +14,12 @@
 
 use moloc_core::config::MoLocConfig;
 use moloc_core::matching::build_kernel;
-use moloc_eval::parallel::{par_run, set_worker_override, thread_count};
 use moloc_eval::pipeline::{analyze_trace, localize_moloc, localize_wifi, EvalWorld, PassOutcome};
 use moloc_eval::OfficeHall;
 use moloc_geometry::LocationId;
 use moloc_mobility::corpus::{CorpusConfig, TraceCorpus};
 use moloc_mobility::user::paper_users;
+use moloc_runtime::{par_run, set_worker_override, thread_count};
 use moloc_sensors::steps::StepDetector;
 use moloc_verify::oracle;
 use std::sync::{Mutex, MutexGuard};

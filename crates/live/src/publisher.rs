@@ -84,8 +84,8 @@ impl SnapshotPublisher {
     ///
     /// # Errors
     ///
-    /// Returns [`LiveError`] when the snapshot build fails (empty
-    /// survey, non-finite mean); the current epoch stays live and the
+    /// Returns [`LiveError`] when the snapshot build fails (e.g. an
+    /// empty survey); the current epoch stays live and the
     /// log keeps its pending deltas, so the caller can repair and
     /// retry.
     pub fn publish(&self, log: &mut UpdateLog) -> Result<PublishReport, LiveError> {
@@ -190,6 +190,7 @@ impl SnapshotReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moloc_fingerprint::db::DbError;
     use moloc_geometry::polygon::Aabb;
     use moloc_geometry::{FloorPlan, LocationId, ReferenceGrid, Vec2, WalkGraph};
     use moloc_motion::builder::MapReference;
@@ -258,16 +259,45 @@ mod tests {
 
     #[test]
     fn failed_publish_keeps_epoch_and_deltas() {
-        let mut log = seeded_log();
-        let publisher = SnapshotPublisher::new(log.build_snapshot(0).unwrap());
-        log.mark_published();
+        // A publisher seeded from one log, fed by another that has
+        // only an RLM: its snapshot build fails with `DbError::Empty`.
+        let publisher = SnapshotPublisher::new(seeded_log().build_snapshot(0).unwrap());
         let before = publisher.snapshot().digest();
+        let mut log = UpdateLog::new(2, map(), SanitationConfig::paper()).unwrap();
 
-        log.observe_survey_sample(l(3), &[f64::NAN, -50.0]).unwrap();
-        assert!(publisher.publish(&mut log).is_err());
+        log.observe_rlm(Rlm::new(l(1), l(2), 90.0, 2.0).unwrap());
+        assert_eq!(
+            publisher.publish(&mut log).unwrap_err(),
+            LiveError::Db(DbError::Empty)
+        );
         assert_eq!(publisher.current_epoch(), 0, "old epoch stays live");
         assert_eq!(publisher.snapshot().digest(), before);
         assert_eq!(log.pending_deltas(), 1, "deltas retained for retry");
+    }
+
+    #[test]
+    fn non_finite_sample_does_not_stop_publishing() {
+        let mut log = seeded_log();
+        let publisher = SnapshotPublisher::new(log.build_snapshot(0).unwrap());
+        log.mark_published();
+
+        assert_eq!(
+            log.observe_survey_sample(l(1), &[f64::NAN, -50.0])
+                .unwrap_err(),
+            LiveError::Db(DbError::NonFinite(l(1)))
+        );
+        log.observe_survey_sample(l(1), &[-41.0, -59.0]).unwrap();
+        log.observe_survey_sample(l(3), &[-55.0, -45.0]).unwrap();
+        let report = publisher.publish(&mut log).unwrap();
+        assert_eq!(
+            report,
+            PublishReport {
+                published: true,
+                epoch: 1,
+                deltas_folded: 2
+            }
+        );
+        assert_eq!(publisher.snapshot().fdb.len(), 3);
     }
 
     #[test]

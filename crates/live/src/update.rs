@@ -77,15 +77,19 @@ impl UpdateLog {
 
     /// Folds one survey sample for `location` into the accumulators.
     ///
-    /// Non-finite values are accepted here (matching
-    /// [`FingerprintDb::from_samples`], which defers the check to the
-    /// condensed mean) and surface as [`DbError::NonFinite`] at
-    /// [`UpdateLog::build_snapshot`] time.
+    /// A sample that would make any of the location's per-AP means
+    /// non-finite (a NaN or ±inf value, or a finite one whose fold
+    /// overflows) is rejected before folding. A Welford mean never
+    /// recovers from a non-finite value, so folding it would make every
+    /// later [`UpdateLog::build_snapshot`] fail for good.
     ///
     /// # Errors
     ///
     /// Returns [`LiveError::ApCount`] when the sample length does not
-    /// match the log's AP count; the sample is not folded.
+    /// match the log's AP count, and [`LiveError::Db`] with
+    /// [`DbError::NonFinite`] for a sample that would make a mean
+    /// non-finite. A rejected sample is not folded and does not count
+    /// as a pending delta.
     pub fn observe_survey_sample(
         &mut self,
         location: LocationId,
@@ -96,6 +100,15 @@ impl UpdateLog {
                 expected: self.ap_count,
                 found: values.len(),
             });
+        }
+        let existing = self.survey.get(&location);
+        let folds_finite = values.iter().enumerate().all(|(ap, &value)| {
+            let mut probe = existing.map_or_else(Welford::new, |accumulators| accumulators[ap]);
+            probe.push(value);
+            probe.mean().is_finite()
+        });
+        if !folds_finite {
+            return Err(LiveError::Db(DbError::NonFinite(location)));
         }
         let accumulators = self
             .survey
@@ -132,8 +145,10 @@ impl UpdateLog {
     /// # Errors
     ///
     /// Returns [`LiveError::Db`] when no survey samples have been
-    /// observed ([`DbError::Empty`]) or a location's mean went
-    /// non-finite ([`DbError::NonFinite`]).
+    /// observed ([`DbError::Empty`]). The per-location
+    /// [`DbError::NonFinite`] check stays as a guard, but
+    /// [`UpdateLog::observe_survey_sample`] already rejects every
+    /// sample that would make a mean non-finite.
     pub fn build_snapshot(&self, epoch: u64) -> Result<DbSnapshot, LiveError> {
         let mut entries = Vec::with_capacity(self.survey.len());
         for (&id, accumulators) in &self.survey {
@@ -261,13 +276,44 @@ mod tests {
     }
 
     #[test]
-    fn nan_sample_surfaces_as_nonfinite_at_build() {
+    fn non_finite_sample_is_rejected_without_folding() {
         let mut log = log();
-        log.observe_survey_sample(l(1), &[-40.0, f64::NAN]).unwrap();
+        log.observe_survey_sample(l(1), &[-40.0, -60.0]).unwrap();
+        log.mark_published();
+        let before = log.build_snapshot(0).unwrap().digest();
+        for bad in [
+            [-40.0, f64::NAN],
+            [f64::INFINITY, -60.0],
+            [-40.0, f64::NEG_INFINITY],
+        ] {
+            assert_eq!(
+                log.observe_survey_sample(l(1), &bad).unwrap_err(),
+                LiveError::Db(DbError::NonFinite(l(1)))
+            );
+        }
         assert_eq!(
-            log.build_snapshot(0).unwrap_err(),
+            log.observe_survey_sample(l(2), &[f64::NAN, -60.0])
+                .unwrap_err(),
+            LiveError::Db(DbError::NonFinite(l(2))),
+            "a first sample for a new location is checked too"
+        );
+        assert_eq!(log.pending_deltas(), 0, "rejected samples are not deltas");
+        assert_eq!(log.build_snapshot(0).unwrap().digest(), before);
+    }
+
+    #[test]
+    fn finite_sample_whose_fold_overflows_is_rejected() {
+        let mut log = log();
+        log.observe_survey_sample(l(1), &[-f64::MAX, -60.0])
+            .unwrap();
+        // (MAX - (-MAX)) overflows the Welford delta to +inf.
+        assert_eq!(
+            log.observe_survey_sample(l(1), &[f64::MAX, -60.0])
+                .unwrap_err(),
             LiveError::Db(DbError::NonFinite(l(1)))
         );
+        assert_eq!(log.pending_deltas(), 1);
+        assert!(log.build_snapshot(0).is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 /// An RAII guard that times a named stage.
 ///
-/// Construct through [`crate::span`]; bind it to a named variable
+/// Construct through [`crate::span()`]; bind it to a named variable
 /// (`let _span = ...`) so it lives to the end of the stage — `let _ =`
 /// would drop it immediately and record a zero-length span.
 #[derive(Debug)]

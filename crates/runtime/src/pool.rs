@@ -25,7 +25,7 @@
 //!   cover disjoint index ranges, so no two workers ever write the
 //!   same slot and the job needs no result lock at all.
 //! * **Watchdogs** — a job may carry a deadline
-//!   ([`Runtime::run_shards_deadline`]): shards not started by the
+//!   ([`crate::par_shards_deadline`]): shards not started by the
 //!   deadline are abandoned (never interrupted mid-item), workers still
 //!   inside the job past a grace period are flagged as stalled, and a
 //!   poisoned job lands in the process-wide [`quarantine_log`] with its
@@ -148,7 +148,7 @@ pub struct JobReport {
     pub abandoned_items: usize,
     /// The per-job deadline passed while shards were still queued.
     pub expired: bool,
-    /// A worker was still inside the job [`STALL_GRACE`] past the
+    /// A worker was still inside the job a stall grace (100 ms) past the
     /// deadline — detected and reported, though the submitter must
     /// still wait it out (task closures borrow its stack, so the job
     /// can never be detached).
